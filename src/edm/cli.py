@@ -310,6 +310,22 @@ def cmd_bench(args) -> int:
     return bench_mod.main(args.rest)
 
 
+def _split_bench(argv: list[str]) -> tuple[list[str], list[str]]:
+    """Split ``argv`` after a ``bench`` subcommand; the tail is bench's own.
+
+    A subparser's ``REMAINDER`` positional rejects a tail that starts with
+    an option (``bench --quick``), so the tail never reaches argparse and
+    goes to :func:`edm.bench.main` as given.  Only the global
+    ``-v``/``--log-level`` options may precede ``bench``.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] == "--log-level" else 1
+    if i < len(argv) and argv[i] == "bench":
+        return argv[: i + 1], argv[i + 1 :]
+    return argv, []
+
+
 def main(argv: list[str] | None = None) -> int:
     # Shared verbosity flags, accepted before or after the subcommand.
     # SUPPRESS keeps a subparser from clobbering a value given before it.
@@ -570,11 +586,14 @@ def main(argv: list[str] | None = None) -> int:
     plot_p.add_argument("--format", choices=("png", "svg", "pdf"), default="png")
     plot_p.set_defaults(func=cmd_plot)
 
-    bench_p = sub.add_parser("bench", help="alias for python -m edm.bench")
-    bench_p.add_argument("rest", nargs=argparse.REMAINDER)
+    bench_p = sub.add_parser(
+        "bench", add_help=False, help="alias for python -m edm.bench (takes its options)"
+    )
     bench_p.set_defaults(func=cmd_bench)
 
-    args = ap.parse_args(argv)
+    head, rest = _split_bench(sys.argv[1:] if argv is None else list(argv))
+    args = ap.parse_args(head)
+    args.rest = rest
     configure_logging(
         level_from_args(getattr(args, "verbose", 0), getattr(args, "log_level", None))
     )

@@ -2,15 +2,15 @@
 
 ``ServiceModel`` parses the compact ``service`` spec
 (``rate:800;rate:400@0-3;queue:64``); ``ServiceRuntime`` steps the
-vectorized per-epoch queue recursion inside ``simulate`` and accumulates
+closed-form per-epoch queue recursion inside ``simulate`` and accumulates
 the p50/p99/p999 latency histogram and migration-spike statistics.
 """
 
 from edm.service.runtime import (
     LATENCY_EDGES,
+    EpochService,
     ServiceRuntime,
-    epoch_service_reference,
-    epoch_service_vectorized,
+    epoch_service,
     histogram_percentile,
 )
 from edm.service.spec import ServiceBand, ServiceModel
@@ -19,8 +19,8 @@ __all__ = [
     "LATENCY_EDGES",
     "ServiceBand",
     "ServiceModel",
+    "EpochService",
     "ServiceRuntime",
-    "epoch_service_reference",
-    "epoch_service_vectorized",
+    "epoch_service",
     "histogram_percentile",
 ]

@@ -53,6 +53,20 @@ def test_unknown_policy_rejected():
         main(["run", "--policy", "bogus"])
 
 
+def test_bench_alias_forwards_options(tmp_path, capsys):
+    """``edm bench`` hands every argument after it to ``edm.bench``,
+    option-like ones included, after any global ``-v``."""
+    out = tmp_path / "bench.json"
+    rc = main([
+        "-v", "bench", "--quick", "--out", str(out),
+        "--cache-dir", str(tmp_path / "cache"), "--workers", "1",
+    ])
+    assert rc == 0
+    result = json.loads(out.read_text())
+    assert result["quick"] is True
+    assert "sweep" in capsys.readouterr().out
+
+
 def test_run_with_explicit_numpy_kernel(capsys):
     assert (
         main(

@@ -21,7 +21,12 @@ commit; every unserviced digest passing unchanged is the proof the fix
 stayed confined.  Used by rev 2: dead OSDs had been counted as permanent
 zeros in the queue-depth mean/CoV, and the latency histogram's top bin
 conflated finite latencies with overflow (only the degraded serviced case
-actually drifted; re-pinned under the same ENGINE_VERSION).
+actually drifted; re-pinned under the same ENGINE_VERSION).  Used by rev 3:
+the epoch service step sums each OSD's latencies as a closed-form series,
+not request by request.  Both serviced digests drifted, through the last
+bit of ``service_lat_mean`` (cmt-serviced, 1.8e-16 relative) and of
+``migration_spike_ratio`` (both, at most 2.1e-16 relative); every other
+key, and every unserviced digest, is unchanged.
 """
 
 import hashlib
@@ -45,8 +50,8 @@ GOLDEN = {
     "hdf": "7587520683ebd85a86a34428ec624a27dfd5854c2042302c0ac41dc52ec49215",
     "cmt": "4cc68da3d89eeaec163922899a83ecbfa1aac9a038eb6f7d99284664736bac10",
     "cmt-degraded-rated": "b27d481f49c3ab7265d1b077a8c99668af5015eacd5e98bc96753e2a35179800",
-    "cmt-serviced": "e2c6339a16260cac5c46c1a8d6fbedbab2b47e0cc01932b17adca3dd1ab5b088",
-    "cmt-serviced-degraded": "ba70cb4afea6bf81e31a79c1baef871bfd2bb311e7dabb94f2d7c4e94500894a",
+    "cmt-serviced": "67c919ced4e0f33fef688f46214d59f22693269523c0af74b0462a4b52d67e79",
+    "cmt-serviced-degraded": "8cb1d9f334ce63e55bd766d9625d3218c7a5be92d849eba55ac760c2da9ea046",
     # Policy-zoo + redundancy digests, pinned under the same ENGINE_VERSION 5:
     # new policies and the redundancy layer are gated on new config fields,
     # so every pre-existing digest above passing *unchanged* is the proof the
@@ -65,12 +70,13 @@ CASES = {
     # the endurance metrics block in one config.
     "cmt-degraded-rated": dict(policy="cmt", faults="fail:1@8", endurance="pe:900"),
     # Serviced: exercises the queue recursion, the latency histogram, and
-    # migration work injection (ENGINE_VERSION 5).
+    # migration work injection (ENGINE_VERSION 5).  Re-pinned under
+    # service_metrics_rev 3 (closed-form latency sum).
     "cmt-serviced": dict(policy="cmt", service="rate:120;queue:256"),
     # Serviced + degraded: lost-work accounting and re-placement bursts
     # landing in the survivors' queues.  Re-pinned under service_metrics_rev
     # 2 (queue-depth aggregates alive-masked; the other six digests did not
-    # move).
+    # move) and 3 (closed-form latency sum).
     "cmt-serviced-degraded": dict(
         policy="cmt", service="rate:60;rate:200@4-7;queue:64", faults="fail:1@8"
     ),
