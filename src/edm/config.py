@@ -23,35 +23,33 @@ from dataclasses import asdict, dataclass
 #    tail-latency metrics block).  Metrics-format change only: unserviced
 #    configs compute bit-identical values, re-keyed so old cache entries
 #    without the latency block are never returned.
-ENGINE_VERSION = 5
+# 6: workload streams are a function of the traffic alone (seed material
+#    SEED_SCHEMA_VERSION 3), so every config draws a new stream and cached
+#    metrics from the old streams must never be returned.
+ENGINE_VERSION = 6
 
 # Version of the *seed material* fed to rng_seed_sequence.  Deliberately
 # decoupled from ENGINE_VERSION: bumping the cache format must not reseed
 # every workload stream, or results silently change across engine releases.
-# Frozen at 2 so fault-free configs draw the exact streams they always have;
-# bump only to intentionally re-randomize every workload.
-SEED_SCHEMA_VERSION = 2
+# Bump only to intentionally re-randomize every workload.
+# 3: hash the TRAFFIC_FIELDS allowlist instead of every field but a blocklist,
+#    so policies, policy knobs and every scenario layer share one stream.
+SEED_SCHEMA_VERSION = 3
 
-# Fields excluded from the seed material.  The seed-material field set is
-# frozen at what SEED_SCHEMA_VERSION=2 hashed: every field added to SimConfig
-# since (fault scenarios, the endurance model and its knobs, the kernel
-# backend) must be listed here, both because it must not perturb the frozen
-# hash and because none of them describe the *traffic* -- a degraded or
-# endurance-rated cluster replays exactly the healthy run's request stream,
-# and every kernel backend consumes the exact same streams.  The service
-# model and its knobs likewise only time the cluster's *response* to the
-# traffic, never the traffic itself.
-SEED_EXCLUDED_FIELDS = (
-    "faults",
-    "endurance",
-    "wear_rate_alpha",
-    "endurance_weight",
-    "kernel",
-    "service",
-    "service_migration_cost",
-    "service_cooldown_epochs",
-    "topology",
-    "redundancy",
+# The fields that describe the *traffic*, and the only ones fed to the seed
+# material.  Everything else -- the policy and its knobs, fault plans,
+# endurance ratings, service models, topology plans, redundancy schemes, the
+# kernel backend, and any field added later -- changes how the cluster
+# responds to the traffic, never the traffic itself, so configs that differ
+# only there replay one request stream and their comparisons are paired.
+TRAFFIC_FIELDS = (
+    "workload",
+    "num_osds",
+    "chunks_per_osd",
+    "skew",
+    "seed",
+    "epochs",
+    "requests_per_epoch",
 )
 
 # Fields excluded from the *result* content hash.  The kernel backend is an
@@ -358,29 +356,30 @@ def config_hash(cfg: SimConfig) -> str:
 
 
 def seed_material_hash(cfg: SimConfig) -> str:
-    """Stable hash of the fields that identify a config's workload streams.
+    """Stable hash of the fields that identify a config's workload stream.
 
-    Unlike :func:`config_hash` (the cache key), this excludes every field in
-    :data:`SEED_EXCLUDED_FIELDS` -- fault scenarios and endurance ratings
-    degrade the *cluster*, never the traffic, so such runs replay exactly
-    the healthy run's request stream -- and pins
+    Unlike :func:`config_hash` (the cache key), this covers only
+    :data:`TRAFFIC_FIELDS` -- configs that differ in policy, policy knobs or
+    any scenario layer replay exactly the same request stream -- and pins
     :data:`SEED_SCHEMA_VERSION` instead of :data:`ENGINE_VERSION`, so engine
-    format bumps don't silently reseed every workload.
+    format bumps don't silently reseed every workload.  It is also the key
+    under which a sweep stores a shared stream (see
+    :mod:`edm.workloads.traffic`).
     """
-    payload = {"engine_version": SEED_SCHEMA_VERSION, **cfg.to_dict()}
-    for field_name in SEED_EXCLUDED_FIELDS:
-        payload.pop(field_name, None)
+    payload = {"seed_schema_version": SEED_SCHEMA_VERSION}
+    payload.update((name, getattr(cfg, name)) for name in TRAFFIC_FIELDS)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def rng_seed_sequence(cfg: SimConfig):
-    """Deterministic per-config seed material.
+    """Deterministic per-config seed material for the workload stream.
 
-    Mixes the user seed with the config's seed-material hash so two configs
-    sharing a seed (e.g. same seed, different policy) still draw distinct
-    workload streams, while staying reproducible across processes and
-    platforms.
+    Mixes the user seed with the config's seed-material hash, so the stream
+    is a function of the traffic fields alone: every policy, and every
+    fault, endurance, service, topology or redundancy scenario, sees the
+    same requests at the same seed, while runs stay reproducible across
+    processes and platforms.
     """
     import numpy as np
 

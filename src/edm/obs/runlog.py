@@ -20,7 +20,11 @@ Record schema (all records)::
     pid        writing process id
 
 ``run_*`` records add ``run_id``, ``config`` (cache name), ``config_hash``
-and ``engine_version``; ``run_end`` adds ``wall_s``, ``total_requests``,
+and ``engine_version``; ``run_start`` may add ``traffic`` (the first 16 hex
+characters of the config's traffic key, shared by every config that
+replays the same request stream) and ``replayed`` (true when the run read
+its stream from a sweep's shared traffic file, false when drawn live);
+``run_end`` adds ``wall_s``, ``total_requests``,
 ``requests_per_sec`` and ``timings`` (span summary from the worker-side
 tracer).  ``sweep_end`` adds ``wall_s``, the cache counters
 (``cache_hits`` / ``cache_misses`` / ``cache_invalidated``), ``simulated``

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
-from edm.config import config_hash, rng_seed_sequence
+from edm.config import config_hash
 from edm.endurance import EnduranceModel, EnduranceTracker, wearout_risk
 from edm.engine.core import simulate
 from edm.faults import FaultEvent
@@ -107,16 +107,6 @@ def test_cache_name_endurance_suffix(make_cfg):
     stem = "deasna-8osd-cmt-s0.02-r12345"
     assert both.cache_name().startswith(stem + "-f")
     assert both.cache_name().count("-e") == 1
-
-
-def test_endurance_excluded_from_seed_material(make_cfg):
-    """Rated runs replay the exact same traffic as their unrated twin."""
-    unrated = make_cfg(num_osds=8, seed=7)
-    rated = make_cfg(num_osds=8, seed=7, endurance="pe:900",
-                     wear_rate_alpha=0.5, endurance_weight=2.0)
-    assert rng_seed_sequence(unrated).entropy == rng_seed_sequence(rated).entropy
-    m_u, m_r = simulate(unrated), simulate(rated)
-    assert m_r["total_requests"] == m_u["total_requests"]
 
 
 # --- state lifetime math ------------------------------------------------------

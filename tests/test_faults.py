@@ -8,7 +8,6 @@ import pytest
 
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
-from edm.config import rng_seed_sequence
 from edm.engine.core import replace_dead_chunks, simulate
 from edm.engine.state import init_state
 from edm.faults import FaultEvent, FaultPlan, FaultRuntime, effective_load
@@ -142,15 +141,6 @@ def test_fault_free_config_has_no_fault_keys():
     metrics = simulate(cfg_with())
     assert not any(k.startswith("fault") or "replac" in k for k in metrics)
     assert "osds_alive_final" not in metrics
-
-
-def test_faults_excluded_from_seed_material():
-    """Faulted runs replay the exact same traffic as their healthy twin."""
-    healthy = cfg_with()
-    faulted = cfg_with(faults="fail:1@8")
-    assert rng_seed_sequence(healthy).entropy == rng_seed_sequence(faulted).entropy
-    m_h, m_f = simulate(healthy), simulate(faulted)
-    assert m_f["total_requests"] == m_h["total_requests"]
 
 
 def test_failure_metrics_and_recovery(small_cfg):

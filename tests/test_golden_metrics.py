@@ -38,27 +38,23 @@ from conftest import cfg_factory
 from edm.config import ENGINE_VERSION
 from edm.engine.core import simulate
 
-PINNED_ENGINE_VERSION = 5
+PINNED_ENGINE_VERSION = 6
 
-# The first five digests predate the service model (ENGINE_VERSION 4) and
-# were NOT re-generated for version 5: unserviced configs must keep
-# computing bit-identical metrics, so these very digests passing is the
-# proof the service threading left the existing engine untouched.
+# Every digest was re-pinned once for ENGINE_VERSION 6, when the workload
+# stream became a function of the traffic fields alone (seed material
+# schema 3): all ten configs now draw a new stream, and every policy and
+# scenario case below replays the *same* one.  No engine arithmetic changed.
 GOLDEN = {
-    "baseline": "204bf55851419b3ce608213e5ebc7695fe4159753d878af9728027e93e8975cd",
-    "cdf": "18eeff315672328aed5db035f3a97a062d95b5e847094106c564416f15da7a64",
-    "hdf": "7587520683ebd85a86a34428ec624a27dfd5854c2042302c0ac41dc52ec49215",
-    "cmt": "4cc68da3d89eeaec163922899a83ecbfa1aac9a038eb6f7d99284664736bac10",
-    "cmt-degraded-rated": "b27d481f49c3ab7265d1b077a8c99668af5015eacd5e98bc96753e2a35179800",
-    "cmt-serviced": "67c919ced4e0f33fef688f46214d59f22693269523c0af74b0462a4b52d67e79",
-    "cmt-serviced-degraded": "8cb1d9f334ce63e55bd766d9625d3218c7a5be92d849eba55ac760c2da9ea046",
-    # Policy-zoo + redundancy digests, pinned under the same ENGINE_VERSION 5:
-    # new policies and the redundancy layer are gated on new config fields,
-    # so every pre-existing digest above passing *unchanged* is the proof the
-    # zoo and the grouping layer left redundancy-free configs bit-identical.
-    "pswl": "85263f92242f360578b3fd3e60234d4eda749cde768e36ca01161980ecb51b48",
-    "consolidate": "ec401fdb09f0219a1a7214d3534c67bdd2ff0414422d955db418d4176a8e2a7d",
-    "cmt-ec-degraded": "0db5bb16757551b68fecc0c88c6293e7b2793d9bb736995a0fc084cff17b06bd",
+    "baseline": "393fadeca85f7068921fda9db902f53da5b775601675532e640408c790c85fa9",
+    "cdf": "ddf0b69e2333cc4e58dbca65f722b4a1ddb7b9868dee5653c3d8562228d7680e",
+    "hdf": "b168151c246bf65621024b3fa80d34f0cb1ae724f37711b713e9e7ad980e7cff",
+    "cmt": "08e280144f42745235f1018a2d543417736267c2c2e02fd3a8e304041b6a8d0f",
+    "cmt-degraded-rated": "da4bd56e6e85135c32078150cec0afd0e3c169b2d36a07464c4701fe54f68693",
+    "cmt-serviced": "b641e4d42a5bff10b14dc0b28a7f366a8a28874546de1d03ec69d41dadaaea52",
+    "cmt-serviced-degraded": "343e9769333f156ec193029103b236b55f415fc773293342fb74daf076a34eae",
+    "pswl": "883ad51112b4aa5c12d740ce7edd0e575ebfb0f360d05023dc110a9945207cf5",
+    "consolidate": "de94a4ebcaa96b114bfecbaa4f3e30413d9861a95627192fb0d6fabdc9e1c706",
+    "cmt-ec-degraded": "6eceb6a62e51117c4d70c40932ea802abb947ebf193333a78a5502542368f066",
 }
 
 CASES = {
@@ -70,13 +66,10 @@ CASES = {
     # the endurance metrics block in one config.
     "cmt-degraded-rated": dict(policy="cmt", faults="fail:1@8", endurance="pe:900"),
     # Serviced: exercises the queue recursion, the latency histogram, and
-    # migration work injection (ENGINE_VERSION 5).  Re-pinned under
-    # service_metrics_rev 3 (closed-form latency sum).
+    # migration work injection.
     "cmt-serviced": dict(policy="cmt", service="rate:120;queue:256"),
     # Serviced + degraded: lost-work accounting and re-placement bursts
-    # landing in the survivors' queues.  Re-pinned under service_metrics_rev
-    # 2 (queue-depth aggregates alive-masked; the other six digests did not
-    # move) and 3 (closed-form latency sum).
+    # landing in the survivors' queues.
     "cmt-serviced-degraded": dict(
         policy="cmt", service="rate:60;rate:200@4-7;queue:64", faults="fail:1@8"
     ),

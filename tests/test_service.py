@@ -28,7 +28,7 @@ from edm.service import (
 from edm.service import runtime as service_runtime
 from service_reference import epoch_service_reference, request_latencies
 from edm.spec import SpecError
-from edm.telemetry import TimeSeriesRecorder
+from edm.telemetry import Recorder, TimeSeriesRecorder
 
 NUM_BINS = LATENCY_EDGES.size - 1
 
@@ -350,11 +350,35 @@ def test_slower_cluster_has_higher_latency(make_cfg):
     assert slow["queue_depth_mean"] >= fast["queue_depth_mean"]
 
 
+class _BacklogAt(Recorder):
+    """Per-OSD queue depth plus pending migration work as ``epoch`` ends."""
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        self.backlog = None
+
+    def _snap(self, state):
+        if state.epoch == self.epoch:
+            self.backlog = state.osd_queue_depth + state.osd_mig_backlog
+
+    def on_epoch(self, state, load, stats):
+        self._snap(state)
+
+    def on_migration(self, state, applied, stats):
+        self._snap(state)
+
+
 def test_dead_osd_backlog_becomes_lost_work(make_cfg):
-    degraded = simulate(make_cfg(service="rate:100", faults="fail:1@8"))
-    assert degraded["service_lost_work"] > 0.0
-    healthy = simulate(make_cfg(service="rate:100"))
+    # Fail the OSD with the largest backlog as epoch 8 begins, read off the
+    # healthy run: the fault plan leaves the traffic alone, so both runs
+    # agree up to that boundary, and the dead OSD's whole backlog is lost.
+    snap = _BacklogAt(epoch=7)
+    healthy = simulate(make_cfg(service="rate:100"), recorders=(snap,))
     assert healthy["service_lost_work"] == 0.0
+    osd = int(np.argmax(snap.backlog))
+    degraded = simulate(make_cfg(service="rate:100", faults=f"fail:{osd}@8"))
+    assert degraded["service_lost_work"] > 0.0
+    assert degraded["service_lost_work"] == snap.backlog[osd]
 
 
 def test_queue_aggregates_exclude_dead_osds(make_cfg):

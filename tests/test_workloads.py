@@ -70,3 +70,23 @@ def test_drift_rotates_hotspot():
 def test_static_trace_has_fixed_hotspot():
     wl, _ = wl_for("lair62")
     assert np.array_equal(wl.probs(0), wl.probs(1000))
+
+
+@pytest.mark.parametrize("name", ["deasna", "lair62b"])
+def test_write_split_matches_full_binomial_draw(name):
+    # The write split only draws over touched chunks; a binomial over zero
+    # trials consumes no randomness, so arrays and generator state must
+    # match a binomial over every chunk, epoch after epoch.
+    cfg = SimConfig(workload=name, num_osds=200, chunks_per_osd=64, seed=3)
+    wl = make_workload(cfg, np.random.default_rng(11))
+    ref = np.random.default_rng(11)
+    for epoch in range(200):
+        counts, writes = wl.epoch_counts(epoch)
+        volume = cfg.requests_per_epoch
+        if wl.burstiness > 0:
+            scale = ref.gamma(1.0 / wl.burstiness, wl.burstiness)
+            volume = max(1, int(round(volume * scale)))
+        c = ref.multinomial(volume, wl.probs(epoch))
+        w = ref.binomial(c, wl.write_ratio)
+        assert (counts == c).all() and (writes == w).all()
+    assert wl.rng.bit_generator.state == ref.bit_generator.state
