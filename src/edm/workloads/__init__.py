@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from edm.config import SimConfig
-from edm.workloads.base import SyntheticTrace
+from edm.workloads.base import SyntheticTrace, Trace
 from edm.workloads.deasna import DeasnaTrace
 from edm.workloads.deasna2 import Deasna2Trace
 from edm.workloads.lair62 import Lair62Trace
@@ -24,4 +24,4 @@ def make_workload(cfg: SimConfig, rng: np.random.Generator) -> SyntheticTrace:
     return cls(cfg, rng)
 
 
-__all__ = ["TRACES", "make_workload", "SyntheticTrace"]
+__all__ = ["TRACES", "make_workload", "SyntheticTrace", "Trace"]
