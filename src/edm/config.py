@@ -26,7 +26,10 @@ from dataclasses import asdict, dataclass
 # 6: workload streams are a function of the traffic alone (seed material
 #    SEED_SCHEMA_VERSION 3), so every config draws a new stream and cached
 #    metrics from the old streams must never be returned.
-ENGINE_VERSION = 6
+# 7: head/tail workload sampler (seed material SEED_SCHEMA_VERSION 4): the
+#    same distribution drawn from a different sequence of random numbers,
+#    so every stream, and every cached metric, changes.
+ENGINE_VERSION = 7
 
 # Version of the *seed material* fed to rng_seed_sequence.  Deliberately
 # decoupled from ENGINE_VERSION: bumping the cache format must not reseed
@@ -34,7 +37,10 @@ ENGINE_VERSION = 6
 # Bump only to intentionally re-randomize every workload.
 # 3: hash the TRAFFIC_FIELDS allowlist instead of every field but a blocklist,
 #    so policies, policy knobs and every scenario layer share one stream.
-SEED_SCHEMA_VERSION = 3
+# 4: the head/tail sampler draws each stream from new random numbers; the
+#    bump re-keys traffic files, so none recorded by the old sampler is
+#    ever replayed as if it were this stream.
+SEED_SCHEMA_VERSION = 4
 
 # The fields that describe the *traffic*, and the only ones fed to the seed
 # material.  Everything else -- the policy and its knobs, fault plans,

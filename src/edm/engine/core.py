@@ -2,8 +2,10 @@
 
 One epoch is a handful of O(num_chunks) array ops:
 
-  1. draw per-chunk access/write counts (single multinomial + binomial),
-     or replay them from a traffic file a sweep shares between configs
+  1. draw per-chunk access/write counts (one exact multinomial with its
+     binomial write split, drawn per hot chunk and per cold-tail request;
+     see :meth:`edm.workloads.SyntheticTrace._fill`), or replay them from a
+     traffic file a sweep shares between configs
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
      scratch buffers and a choice of bit-identical numpy / numba backends

@@ -242,3 +242,24 @@ def test_when_the_recording_run_fails_the_next_config_records(tmp_path, monkeypa
         r["config"]: r["replayed"] for r in read_run_log(runs) if r["event"] == "run_start"
     }
     assert sorted(replayed.values()) == [False, False, True, True]
+
+
+def test_a_stream_recorded_under_an_older_seed_schema_is_never_replayed(tmp_path, monkeypatch):
+    # A new sampler re-randomizes every stream, and bumps SEED_SCHEMA_VERSION
+    # so that traffic files recorded by the old one key differently.
+    grid = shared_grid()
+    traffic = tmp_path / "cache" / "traffic"
+    with monkeypatch.context() as old_schema:
+        old_schema.setattr("edm.config.SEED_SCHEMA_VERSION", 3)
+        old = record(grid[0], traffic / seed_material_hash(grid[0]))
+    stale = old.read_bytes()
+    runs = tmp_path / "runs.jsonl"
+    res = sweep(grid, cache_dir=tmp_path / "cache", workers=1, run_log=runs)
+    assert res.results == [simulate(cfg) for cfg in grid]
+    new = traffic / seed_material_hash(grid[0])
+    assert new != old and traffic_matches(grid[0], new)
+    assert old.read_bytes() == stale and not traffic_matches(grid[0], old)
+    starts = [r for r in read_run_log(runs) if r["event"] == "run_start"]
+    assert [r["traffic"] for r in starts] == [seed_material_hash(cfg)[:16] for cfg in grid]
+    assert old.name[:16] not in {r["traffic"] for r in starts}
+    assert [r["replayed"] for r in starts] == [0 < i < 6 for i in range(len(grid))]
