@@ -27,8 +27,6 @@ Stable public API (everything in ``__all__``):
     TimeSeries         -- captured series + .npz/JSON/CSV exporters
     resolve_policy     -- canonical policy name (resolves the ``edm`` alias)
     config_hash        -- content hash keying the result cache
-    available_kernels  -- epoch-kernel backends importable right now
-    resolve_kernel     -- which backend a ``cfg.kernel`` value lands on
     Tracer             -- span timer: ``simulate(cfg, tracer=Tracer())`` puts
                           phase timings in ``metrics["timings"]``
     RunLogWriter       -- structured JSONL run-log emitter (see edm.obs.runlog)
@@ -49,7 +47,6 @@ Stable public API (everything in ``__all__``):
 from edm.config import SimConfig, config_hash
 from edm.endurance import EnduranceModel
 from edm.engine.core import simulate
-from edm.engine.kernels import available_kernels, resolve_kernel
 from edm.faults import FaultEvent, FaultPlan
 from edm.obs import (
     DecisionRecorder,
@@ -101,7 +98,6 @@ __all__ = [
     "Tracer",
     "append_history",
     "attribution_summary",
-    "available_kernels",
     "compare_reports",
     "config_hash",
     "default_grid",
@@ -110,7 +106,6 @@ __all__ = [
     "read_decision_log",
     "read_run_log",
     "registry_from_metrics",
-    "resolve_kernel",
     "resolve_policy",
     "simulate",
     "sweep",

@@ -25,9 +25,8 @@ from pathlib import Path
 
 from edm import __version__
 from edm.cache import DEFAULT_CACHE_DIR
-from edm.config import KERNELS, SimConfig
+from edm.config import SimConfig
 from edm.engine.core import simulate
-from edm.engine.kernels import available_kernels, resolve_kernel
 from edm.obs import (
     DEFAULT_HISTORY,
     append_history,
@@ -50,18 +49,17 @@ log = get_logger("bench")
 def bench_single_config(
     requests_target: int = 2_000_000,
     telemetry: bool = False,
-    kernel: str = "auto",
     repeats: int = 3,
 ) -> dict:
     """Single-config throughput through the vectorized path.
 
     ``telemetry=True`` attaches a full-rate ``TimeSeriesRecorder`` so the
     report tracks the observer layer's overhead next to the bare engine.
-    ``kernel`` selects the epoch-kernel backend; a tiny untimed warm-up run
-    precedes the measurement so numba's one-off JIT compile never lands
-    inside the timed region.  The run repeats ``repeats`` times and reports
-    the fastest (best-of-N filters scheduler noise; the simulation itself is
-    deterministic, so every repeat does identical work).
+    A tiny untimed warm-up run precedes the measurement so one-off import
+    and allocation costs never land inside the timed region.  The run
+    repeats ``repeats`` times and reports the fastest (best-of-N filters
+    scheduler noise; the simulation itself is deterministic, so every
+    repeat does identical work).
     """
     # deasna has constant epoch volume, so requests_simulated is exact.
     base = SimConfig(workload="deasna", num_osds=20, policy="cmt")
@@ -73,7 +71,6 @@ def bench_single_config(
         policy=base.policy,
         epochs=epochs,
         requests_per_epoch=per_epoch,
-        kernel=kernel,
     )
     warmup = SimConfig(
         workload=base.workload,
@@ -81,7 +78,6 @@ def bench_single_config(
         policy=base.policy,
         epochs=2,
         requests_per_epoch=256,
-        kernel=kernel,
     )
     simulate(warmup)
     elapsed = float("inf")
@@ -95,31 +91,10 @@ def bench_single_config(
         "config": cfg.cache_name(),
         "epochs": epochs,
         "telemetry": telemetry,
-        "kernel": resolve_kernel(kernel),
         "requests_simulated": simulated,
         "seconds": elapsed,
         "requests_per_sec": simulated / elapsed if elapsed > 0 else float("inf"),
     }
-
-
-def bench_kernels(requests_target: int = 2_000_000) -> dict:
-    """Micro-benchmark every importable backend on the same single config.
-
-    Returns ``{"backends": {name: single_config_report}, "identical": bool}``
-    -- the backends run the identical seeded config, so besides timing each
-    one this doubles as an end-to-end bit-identity check on the metrics.
-    """
-    backends: dict[str, dict] = {}
-    metrics_seen: list[dict] = []
-    for name in available_kernels():
-        backends[name] = bench_single_config(requests_target, kernel=name)
-        cfg = SimConfig(
-            workload="deasna", num_osds=20, policy="cmt",
-            epochs=8, requests_per_epoch=1024, kernel=name,
-        )
-        metrics_seen.append(simulate(cfg))
-    identical = all(m == metrics_seen[0] for m in metrics_seen[1:])
-    return {"backends": backends, "identical": identical}
 
 
 def run_bench(
@@ -127,15 +102,12 @@ def run_bench(
     cache_dir=DEFAULT_CACHE_DIR,
     workers: int | None = None,
     quick: bool = False,
-    kernel: str = "auto",
 ) -> dict:
     overrides = {"epochs": 32, "requests_per_epoch": 1024} if quick else {}
     # The bench grid is pinned to the paper's four policies (64 configs):
     # perf history comparisons (`bench --compare`) require the workload mix
     # to stay constant across releases, so zoo additions must not grow it.
-    grid = default_grid(
-        policies=("baseline", "cdf", "hdf", "cmt"), kernel=kernel, **overrides
-    )
+    grid = default_grid(policies=("baseline", "cdf", "hdf", "cmt"), **overrides)
 
     log.info("cold sweep: %d configs (force re-simulate)", len(grid))
     t0 = time.perf_counter()
@@ -148,8 +120,8 @@ def run_bench(
     warm_s = time.perf_counter() - t0
 
     target = 200_000 if quick else 2_000_000
-    single = bench_single_config(target, kernel=kernel)
-    single_telemetry = bench_single_config(target, telemetry=True, kernel=kernel)
+    single = bench_single_config(target)
+    single_telemetry = bench_single_config(target, telemetry=True)
     overhead = (
         single_telemetry["seconds"] / single["seconds"] - 1.0
         if single["seconds"] > 0
@@ -161,7 +133,6 @@ def run_bench(
         "python": platform.python_version(),
         "machine": platform.machine(),
         "quick": quick,
-        "kernel": resolve_kernel(kernel),
         "sweep": {
             "configs": len(grid),
             "cold_seconds": cold_s,
@@ -199,17 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="tiny epochs/requests (CI smoke)"
     )
     ap.add_argument(
-        "--kernel",
-        nargs="?",
-        const="compare",
-        default="auto",
-        choices=(*KERNELS, "compare"),
-        metavar="BACKEND",
-        help="epoch-kernel backend for the whole bench (numpy/numba/auto); "
-        "bare --kernel micro-benches every importable backend on one config "
-        "(and cross-checks their metrics bit-for-bit), then exits",
-    )
-    ap.add_argument(
         "--append-history",
         nargs="?",
         const=str(DEFAULT_HISTORY),
@@ -223,8 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="BASELINE",
         help="diff throughput against a baseline; exit nonzero on regression.  "
         "A .json path is a single report; a .jsonl path is a history file, "
-        "compared against its newest entry with this run's kernel backend "
-        "(never numpy-vs-numba) and quick/full mode",
+        "compared against its newest entry of this run's quick/full mode",
     )
     ap.add_argument(
         "--max-regression",
@@ -237,22 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     configure_logging(level_from_args(args.verbose, args.log_level))
 
-    if args.kernel == "compare":
-        cmp = bench_kernels(200_000 if args.quick else 2_000_000)
-        for name, r in cmp["backends"].items():
-            print(
-                f"kernel {name:6s}: {r['requests_simulated']:,} requests in "
-                f"{r['seconds']:.2f}s = {r['requests_per_sec']:,.0f} req/s"
-            )
-        if len(cmp["backends"]) == 1:
-            print("only one backend importable (pip install 'edm-sim[jit]' adds numba)")
-            return 0
-        if not cmp["identical"]:
-            print("FAIL: backends disagree on metrics (bit-identity broken)")
-            return 1
-        print("metrics bit-identical across backends")
-        return 0
-
     # Quick mode gets its own default output so toy numbers never silently
     # overwrite the real BENCH_sweep.json baseline.
     out = Path(args.out) if args.out else (QUICK_OUT if args.quick else DEFAULT_OUT)
@@ -262,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=Path(args.cache_dir),
         workers=args.workers,
         quick=args.quick,
-        kernel=args.kernel,
     )
     s = report["sweep"]
     print(
@@ -272,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sc = report["single_config"]
     print(
-        f"single-config[{sc['kernel']}]: "
-        f"{sc['requests_simulated']:,} requests in {sc['seconds']:.2f}s "
+        f"single-config: {sc['requests_simulated']:,} requests in {sc['seconds']:.2f}s "
         f"= {sc['requests_per_sec']:,.0f} req/s "
         f"(telemetry overhead {report['telemetry_overhead_frac'] * 100:+.1f}%)"
     )
@@ -286,9 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         try:
             if Path(args.compare).suffix == ".jsonl":
-                baseline = baseline_from_history(
-                    args.compare, kernel=report["kernel"], quick=report["quick"]
-                )
+                baseline = baseline_from_history(args.compare, quick=report["quick"])
             else:
                 baseline = load_report(args.compare)
             regressions = compare_reports(report, baseline, args.max_regression)

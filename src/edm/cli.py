@@ -16,7 +16,7 @@ from pathlib import Path
 from edm import bench as bench_mod
 from edm import report as report_mod
 from edm.cache import DEFAULT_CACHE_DIR
-from edm.config import KERNELS, POLICY_ALIASES, POLICIES, WORKLOADS, SimConfig
+from edm.config import POLICY_ALIASES, POLICIES, WORKLOADS, SimConfig
 from edm.engine.core import simulate
 from edm.obs import NULL_TRACER, Tracer, configure_logging, get_logger
 from edm.obs.decisions import (
@@ -47,17 +47,10 @@ def _add_engine_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--epochs", type=int, default=None)
     ap.add_argument("--requests", type=int, default=None, help="requests per epoch")
     ap.add_argument("--skew", type=float, default=0.02)
-    ap.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help="epoch-kernel backend: numpy, numba (requires edm-sim[jit]), or "
-        "auto = numba when importable (default; results are bit-identical)",
-    )
 
 
 def _overrides(args) -> dict:
-    out = {"skew": args.skew, "kernel": args.kernel}
+    out = {"skew": args.skew}
     if args.epochs is not None:
         out["epochs"] = args.epochs
     if args.requests is not None:

@@ -44,10 +44,10 @@ SEED_SCHEMA_VERSION = 4
 
 # The fields that describe the *traffic*, and the only ones fed to the seed
 # material.  Everything else -- the policy and its knobs, fault plans,
-# endurance ratings, service models, topology plans, redundancy schemes, the
-# kernel backend, and any field added later -- changes how the cluster
-# responds to the traffic, never the traffic itself, so configs that differ
-# only there replay one request stream and their comparisons are paired.
+# endurance ratings, service models, topology plans, redundancy schemes, and
+# any field added later -- changes how the cluster responds to the traffic,
+# never the traffic itself, so configs that differ only there replay one
+# request stream and their comparisons are paired.
 TRAFFIC_FIELDS = (
     "workload",
     "num_osds",
@@ -57,18 +57,6 @@ TRAFFIC_FIELDS = (
     "epochs",
     "requests_per_epoch",
 )
-
-# Fields excluded from the *result* content hash.  The kernel backend is an
-# execution strategy, not a semantic knob: numpy and numba produce
-# bit-identical metrics (pinned by tests/test_kernels.py), so a result
-# computed under either backend must hit the same cache entry -- and adding
-# the field must not invalidate every pre-existing cache.
-HASH_EXCLUDED_FIELDS = ("kernel",)
-
-# Kernel backend choices: "auto" resolves to numba when importable, numpy
-# otherwise (see edm.engine.kernels.resolve_kernel); numba stays an optional
-# extra (`pip install edm-sim[jit]`), never a hard dependency.
-KERNELS = ("auto", "numpy", "numba")
 
 WORKLOADS = ("deasna", "deasna2", "lair62", "lair62b")
 # Canonical policy names.  Kept as a literal tuple (the config layer cannot
@@ -172,12 +160,6 @@ class SimConfig:
     # the plain run's request stream against a different layout.
     redundancy: str = ""
 
-    # Epoch-kernel backend: "numpy" (default fused NumPy kernel), "numba"
-    # (optional JIT, requires the [jit] extra), or "auto" (numba if
-    # importable).  Backends are bit-identical, so this field keys neither
-    # the result cache nor the workload seed material.
-    kernel: str = "auto"
-
     def __post_init__(self) -> None:
         if self.policy in POLICY_ALIASES:
             object.__setattr__(self, "policy", POLICY_ALIASES[self.policy])
@@ -214,8 +196,6 @@ class SimConfig:
             raise ValueError(f"wear_rate_alpha must be in (0, 1], got {self.wear_rate_alpha}")
         if self.endurance_weight < 0:
             raise ValueError(f"endurance_weight must be >= 0, got {self.endurance_weight}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}, expected one of {KERNELS}")
         if self.faults:
             from edm.faults import FaultPlan
 
@@ -302,7 +282,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        return cls(**d)
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Drops the retired ``kernel`` key, which older versions stored: it
+        chose between bit-identical epoch-kernel backends and never fed
+        :func:`config_hash`, so cache entries written with it stay fresh.
+        Any other unknown key still raises.
+        """
+        return cls(**{k: v for k, v in d.items() if k != "kernel"})
 
     def cache_name(self) -> str:
         """Filename stem matching the historical .repro-cache key format.
@@ -332,12 +319,10 @@ class SimConfig:
 def config_hash(cfg: SimConfig) -> str:
     """Stable content hash of a config plus the engine version.
 
-    Excludes :data:`HASH_EXCLUDED_FIELDS` (the kernel backend): fields that
-    cannot change results must not fragment or invalidate the cache.  An
-    *empty* ``topology`` or ``redundancy`` is likewise dropped from the
-    payload: a static, plain config computes bit-identical metrics with or
-    without the field, so introducing it must not invalidate any
-    pre-existing cache entry.
+    An *empty* ``topology`` or ``redundancy`` is dropped from the payload:
+    a static, plain config computes bit-identical metrics with or without
+    the field, so introducing it must not invalidate any pre-existing cache
+    entry.
 
     ``service_metrics_rev`` re-keys only serviced configs: revision 2 fixed
     the degraded-mode queue-depth aggregates (dead OSDs no longer counted as
@@ -349,8 +334,6 @@ def config_hash(cfg: SimConfig) -> str:
     most a few ulps (histogram, percentiles and max are unchanged).
     """
     payload = {"engine_version": ENGINE_VERSION, **cfg.to_dict()}
-    for field_name in HASH_EXCLUDED_FIELDS:
-        payload.pop(field_name, None)
     if not payload.get("topology"):
         payload.pop("topology", None)
     if not payload.get("redundancy"):

@@ -7,9 +7,8 @@ One epoch is a handful of O(num_chunks) array ops:
      see :meth:`edm.workloads.SyntheticTrace._fill`), or replay them from a
      traffic file a sweep shares between configs
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
-     bincounts, wear accrual, and the heat/load EMA updates, with per-run
-     scratch buffers and a choice of bit-identical numpy / numba backends
-     (``cfg.kernel``)
+     bincounts, wear accrual, and the heat/load EMA updates, in place on
+     per-run scratch buffers
   3. every ``migrate_interval`` epochs, let the policy pick migrations and
      apply them as a batch index assignment
 
@@ -33,11 +32,10 @@ With a topology plan configured (``cfg.topology``), the cluster is elastic:
 the :class:`~edm.topology.TopologyRuntime` steps first at each epoch
 boundary (before faults and endurance, so both see the grown arrays).
 ``add`` events append cold drives of the event's device class -- zero wear,
-zero load, per-band capacity / service rate / rated P/E -- and the kernel's
-per-OSD scratch is resized once per event; ``drain`` events gracefully
-evacuate the target's chunks through the active policy's destination
-scoring (trigger ``"drain"`` in decision provenance) and then retire it,
-with no lost queue work.  Every fired event fans out to recorders via
+zero load, per-band capacity / service rate / rated P/E; ``drain`` events
+gracefully evacuate the target's chunks through the active policy's
+destination scoring (trigger ``"drain"`` in decision provenance) and then
+retire it, with no lost queue work.  Every fired event fans out to recorders via
 ``on_topology``.  Static configs skip this path entirely and stay
 bit-identical to the topology-unaware engine.
 
@@ -74,7 +72,7 @@ import numpy as np
 
 from edm.config import SimConfig
 from edm.endurance import EnduranceModel, EnduranceTracker
-from edm.engine.kernels import make_kernel
+from edm.engine.kernels import EpochKernel
 from edm.engine.metrics import MetricsAccumulator
 from edm.engine.state import ClusterState, init_state
 from edm.faults import FaultPlan, FaultRuntime, effective_load
@@ -143,34 +141,6 @@ def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> 
 _MAX_BATCH_ROUND = 2048
 
 
-def _supports_batch_destinations(policy: MigrationPolicy) -> bool:
-    """True when the policy's batch scoring provably matches its scalar pick.
-
-    The batched re-placement below replays ``pick_destination`` row-by-row
-    through ``pick_destination_batch``; that is only sound when the class
-    that defines the effective batch variant knows the effective scalar
-    scoring -- i.e. it is the same class that defines ``pick_destination``,
-    or a subclass of it (our built-ins pair them in one class).  A subclass
-    overriding only the scalar method would otherwise silently replay an
-    ancestor's batch scoring; it falls back to the exact sequential loop.
-    """
-    scalar_owner = batch_owner = None
-    for klass in type(policy).__mro__:
-        # The effective scalar scoring is whichever of pick_destination /
-        # destination_terms sits deepest in the MRO: the base pick routes
-        # through destination_terms, so overriding only the terms changes
-        # the scalar scoring just as surely as overriding the pick itself.
-        if scalar_owner is None and (
-            "pick_destination" in vars(klass) or "destination_terms" in vars(klass)
-        ):
-            scalar_owner = klass
-        if batch_owner is None and "pick_destination_batch" in vars(klass):
-            batch_owner = klass
-    if scalar_owner is None or batch_owner is None:
-        return False
-    return issubclass(batch_owner, scalar_owner)
-
-
 def _assign_replacements_loop(
     order: np.ndarray,
     proj: np.ndarray,
@@ -178,17 +148,39 @@ def _assign_replacements_loop(
     policy: MigrationPolicy,
     state: ClusterState,
     cfg: SimConfig,
+    dead_osd: int,
+    emit=None,
 ) -> np.ndarray:
-    """Reference destination assignment: one ``pick_destination`` per chunk.
+    """Sequential destination assignment: one pick per chunk, hottest first.
 
     The semantic ground truth the batched path must reproduce bit-for-bit
-    (tests/test_kernels.py pins them against each other), and the fallback
-    for policies whose scoring the batch path cannot prove equivalent.
+    (tests/test_kernels.py pins them against each other).  Each chunk's
+    candidate set excludes OSDs already holding a member of its placement
+    group (:func:`~edm.policies.base.group_constrained`, a no-op on plain
+    configs), so under redundancy the set varies per chunk and the batched
+    prefix replay does not apply.  The burst can never create an
+    intra-burst conflict: the spread invariant guarantees at most one chunk
+    per group lives on ``dead_osd``, so no two chunks in ``order`` share a
+    group.  With ``emit`` set, each pick goes through
+    ``explain_destination`` (the argmin of the same folded terms the plain
+    pick computes, so destinations are unchanged) and is reported as one
+    decision per re-placed chunk.
     """
     cap = state.osd_capacity
     dsts = np.empty(order.size, dtype=np.int64)
     for k, chunk in enumerate(order):
-        dst = policy.pick_destination(alive_ids, proj, state, cfg)
+        cand = group_constrained(alive_ids, state, int(chunk))
+        if cand.size == 0:
+            raise RuntimeError(
+                f"chunk {chunk} of placement group "
+                f"{int(state.chunk_group[chunk])} has no constraint-"
+                f"satisfying destination among {alive_ids.size} surviving OSDs"
+            )
+        if emit is None:
+            dst = policy.pick_destination(cand, proj, state, cfg)
+        else:
+            dst, terms, scores = policy.explain_destination(cand, proj, state, cfg)
+            emit(int(chunk), int(dead_osd), dst, cand, terms, scores)
         dsts[k] = dst
         proj[dst] += state.chunk_heat[chunk] / cap[dst]
     return dsts
@@ -244,74 +236,6 @@ def _assign_replacements_batched(
     return dsts
 
 
-def _assign_replacements_explained(
-    order: np.ndarray,
-    proj: np.ndarray,
-    alive_ids: np.ndarray,
-    policy: MigrationPolicy,
-    state: ClusterState,
-    cfg: SimConfig,
-    dead_osd: int,
-    emit,
-) -> np.ndarray:
-    """Sequential assignment that also reports each pick's score terms.
-
-    The explained re-placement path: picks through
-    ``explain_destination`` (the argmin of the same folded terms the plain
-    pick computes, so destinations are bit-identical to the loop -- and the
-    loop is pinned bit-identical to the batched path) and emits one decision
-    per re-placed chunk.
-    """
-    cap = state.osd_capacity
-    dsts = np.empty(order.size, dtype=np.int64)
-    for k, chunk in enumerate(order):
-        dst, terms, scores = policy.explain_destination(alive_ids, proj, state, cfg)
-        emit(int(chunk), int(dead_osd), dst, alive_ids, terms, scores)
-        dsts[k] = dst
-        proj[dst] += state.chunk_heat[chunk] / cap[dst]
-    return dsts
-
-
-def _assign_replacements_grouped(
-    order: np.ndarray,
-    proj: np.ndarray,
-    alive_ids: np.ndarray,
-    policy: MigrationPolicy,
-    state: ClusterState,
-    cfg: SimConfig,
-    dead_osd: int,
-    emit,
-) -> np.ndarray:
-    """Sequential assignment under the redundancy spread constraint.
-
-    Each chunk's candidate set excludes OSDs already holding a member of its
-    placement group, so the set varies per chunk and the prefix-replay trick
-    of the batched path does not apply.  The burst can never create an
-    intra-burst conflict: the spread invariant guarantees at most one chunk
-    per group lives on ``dead_osd``, so no two chunks in ``order`` share a
-    group.  With ``emit`` set, each pick is explained over its constrained
-    candidate set.
-    """
-    cap = state.osd_capacity
-    dsts = np.empty(order.size, dtype=np.int64)
-    for k, chunk in enumerate(order):
-        cand = group_constrained(alive_ids, state, int(chunk))
-        if cand.size == 0:
-            raise RuntimeError(
-                f"chunk {chunk} of placement group "
-                f"{int(state.chunk_group[chunk])} has no constraint-"
-                f"satisfying destination among {alive_ids.size} surviving OSDs"
-            )
-        if emit is None:
-            dst = policy.pick_destination(cand, proj, state, cfg)
-        else:
-            dst, terms, scores = policy.explain_destination(cand, proj, state, cfg)
-            emit(int(chunk), int(dead_osd), dst, cand, terms, scores)
-        dsts[k] = dst
-        proj[dst] += state.chunk_heat[chunk] / cap[dst]
-    return dsts
-
-
 def replace_dead_chunks(
     state: ClusterState,
     dead_osd: int,
@@ -330,17 +254,18 @@ def replace_dead_chunks(
     cooldown mask -- but is charged as ordinary migration wear through
     :func:`apply_migrations`.
 
-    Built-in policies run through the batched greedy assignment (vectorized
-    rounds, bit-identical to the per-chunk loop); policies overriding
-    ``pick_destination`` without a matching ``pick_destination_batch`` use
-    the exact sequential reference path.  With ``emit`` set (a decision
-    callback, see :mod:`edm.obs.decisions`), the burst runs the explained
-    sequential path instead -- same destinations, plus one decision record
-    per re-placed chunk.
+    Plain configs without a decision callback run the batched greedy
+    assignment (vectorized rounds, bit-identical to the per-chunk loop; a
+    policy's ``pick_destination_batch`` must match its scalar pick, and
+    tests/test_policy_conformance.py is the guard).  Every other burst runs
+    the sequential loop: with ``emit`` set (a decision callback, see
+    :mod:`edm.obs.decisions`) it adds one decision record per re-placed
+    chunk, same destinations.
 
-    Redundant configs (``state.chunk_group`` set) take the group-constrained
-    sequential path -- the candidate set varies per chunk, so the batched
-    prefix replay does not apply -- and, when ``redundancy`` (the run's
+    Redundant configs (``state.chunk_group`` set) pick each chunk's
+    destination among the OSDs holding no member of its group -- the
+    candidate set varies per chunk, so the batched prefix replay does not
+    apply -- and, when ``redundancy`` (the run's
     :class:`~edm.redundancy.RedundancyRuntime`) is given and ``dead_osd`` is
     actually dead, the burst is charged as *reconstruction*: surviving group
     members are read into the service queues on top of the ordinary
@@ -361,21 +286,12 @@ def replace_dead_chunks(
         )
     proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
     order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
-    if state.chunk_group is not None:
-        dsts = _assign_replacements_grouped(
-            order, proj, alive_ids, policy, state, cfg, dead_osd, emit
-        )
-    elif emit is not None:
-        dsts = _assign_replacements_explained(
-            order, proj, alive_ids, policy, state, cfg, dead_osd, emit
-        )
+    if state.chunk_group is None and emit is None:
+        dsts = _assign_replacements_batched(order, proj, alive_ids, policy, state, cfg)
     else:
-        assign = (
-            _assign_replacements_batched
-            if _supports_batch_destinations(policy)
-            else _assign_replacements_loop
+        dsts = _assign_replacements_loop(
+            order, proj, alive_ids, policy, state, cfg, dead_osd, emit
         )
-        dsts = assign(order, proj, alive_ids, policy, state, cfg)
     if redundancy is not None and not state.osd_alive[dead_osd]:
         # Charge the read side of the rebuild before ownership moves (the
         # write side is ordinary migration wear via apply_migrations).
@@ -437,7 +353,7 @@ def simulate(
         )
         scheme = RedundancyScheme.parse(cfg.redundancy, num_osds=cfg.num_osds)
         redundancy = RedundancyRuntime(scheme, cfg) if scheme else None
-        kernel = make_kernel(cfg)
+        kernel = EpochKernel(cfg)
         acc = MetricsAccumulator(service=service, redundancy=redundancy)
         observers: tuple[Recorder, ...] = (acc, *recorders)
         # Decision provenance is opt-in: only recorders that *override*
@@ -491,7 +407,6 @@ def simulate(
                     for event in topology.step(state, epoch):
                         moved = 0
                         if event.kind == "add":
-                            kernel.resize(state.num_osds)
                             if endurance is not None:
                                 endurance.grow(state)
                         else:  # drain: evacuate gracefully, then retire
@@ -528,8 +443,7 @@ def simulate(
                 counts, writes = workload.epoch_counts(epoch)
             with tr.span("simulate.kernel"):
                 # Fused epoch math: routing bincounts, wear accrual, heat/load
-                # EMAs -- one kernel call on preallocated scratch (numpy or
-                # numba backend per cfg.kernel, bit-identical either way).
+                # EMAs -- one kernel call on preallocated scratch.
                 load = kernel.epoch_update(state, counts, writes)
                 if endurance is not None:
                     # Fold this epoch's wear delta (routing writes plus any

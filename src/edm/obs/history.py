@@ -20,10 +20,9 @@ Throughput metrics compared (higher is better):
 
 Reports are only comparable like-for-like: a ``--quick`` report must be
 compared against a ``--quick`` baseline (grids differ otherwise), and
-:func:`compare_reports` refuses mismatched pairs.  Kernel backends are
-like-for-like too: when the baseline comes out of a ``.jsonl`` history,
-:func:`baseline_from_history` picks the newest entry run on the *same*
-kernel backend as the current report, and errors clearly when none exists.
+:func:`compare_reports` refuses mismatched pairs.  When the baseline comes
+out of a ``.jsonl`` history, :func:`baseline_from_history` picks the newest
+entry of the current report's mode, and errors clearly when none exists.
 """
 
 from __future__ import annotations
@@ -91,38 +90,28 @@ def read_history(path: str | os.PathLike = DEFAULT_HISTORY) -> list[dict]:
 
 def baseline_from_history(
     path: str | os.PathLike,
-    kernel: str,
     quick: bool | None = None,
 ) -> dict:
-    """Most recent history entry whose report ran the same kernel backend.
+    """Most recent history report, of the given quick/full mode when set.
 
-    Gating a numba run against a numpy baseline (or vice versa) measures the
-    backend gap, not a regression -- so when ``bench --compare`` is pointed
-    at a ``.jsonl`` history instead of a single report, the baseline is the
-    newest entry matching this run's ``kernel`` (and, when ``quick`` is
-    given, its quick/full mode).  Raises ``ValueError`` with the backends
-    actually present when no same-backend entry exists, rather than silently
-    comparing across backends.
+    ``bench --compare`` pointed at a ``.jsonl`` history instead of a single
+    report gates against this entry.  Raises ``ValueError`` when the history
+    holds no entry of the requested mode, rather than comparing a quick run
+    against a full baseline.
     """
     entries = read_history(path)
     if not entries:
         raise ValueError(f"history {path} is empty; nothing to compare against")
-    seen: set[str] = set()
     for entry in reversed(entries):
         report = entry.get("report")
         if not isinstance(report, dict):
             continue
-        entry_kernel = report.get("kernel", "unknown")
-        seen.add(entry_kernel)
-        if quick is not None and bool(report.get("quick")) != quick:
-            continue
-        if entry_kernel == kernel:
+        if quick is None or bool(report.get("quick")) == quick:
             return report
     mode = "" if quick is None else (" quick" if quick else " full")
     raise ValueError(
-        f"history {path} has no{mode} entry for kernel {kernel!r} "
-        f"(backends present: {sorted(seen)}); append one with "
-        f"`python -m edm.bench --kernel {kernel} --append-history {path}`"
+        f"history {path} has no{mode} entry; append one with "
+        f"`python -m edm.bench{' --quick' if quick else ''} --append-history {path}`"
     )
 
 

@@ -163,8 +163,8 @@ class MigrationPolicy(ABC):
         **bit-for-bit** -- the engine's batched failure re-placement replays
         the scalar greedy through this method (see
         :func:`edm.engine.core.replace_dead_chunks`), so any subclass that
-        overrides ``pick_destination`` must override this in lockstep or the
-        engine falls back to the exact per-chunk loop.
+        overrides ``pick_destination`` must override this in lockstep and
+        match it; ``tests/test_policy_conformance.py`` is the guard.
 
         Default scoring is raw projected load, so a row-wise argmin over the
         candidate columns reproduces the scalar pick exactly (ties resolve

@@ -7,25 +7,10 @@ import pytest
 from edm.bench import bench_single_config, run_bench
 
 
-def test_bench_kernel_compare_mode(capsys):
-    # `edm bench --kernel` (bare) micro-benches every importable backend and
-    # cross-checks their metrics; with only numpy present it says so.
-    from edm.bench import main as bench_main
-    from edm.engine.kernels import numba_available
-
-    assert bench_main(["--quick", "--kernel"]) == 0
-    out = capsys.readouterr().out
-    assert "kernel numpy" in out
-    if numba_available():
-        assert "kernel numba" in out and "bit-identical" in out
-    else:
-        assert "only one backend importable" in out
-
-
-def test_bench_single_config_reports_backend():
-    result = bench_single_config(requests_target=50_000, kernel="numpy")
-    assert result["kernel"] == "numpy"
+def test_bench_single_config_meets_its_request_target():
+    result = bench_single_config(requests_target=50_000)
     assert result["requests_simulated"] >= 50_000
+    assert result["requests_per_sec"] > 0
 
 
 @pytest.mark.bench

@@ -7,6 +7,7 @@ import pytest
 from edm.cache import ResultCache
 from edm.config import SimConfig, config_hash
 from edm.engine.core import simulate
+from edm.report import load_cached_metrics
 
 
 @pytest.fixture
@@ -67,6 +68,37 @@ def test_payload_records_hash_and_config(cache, small_cfg):
     payload = pickle.loads(path.read_bytes())
     assert payload["config_hash"] == config_hash(small_cfg)
     assert payload["config"] == small_cfg.to_dict()
+
+
+def _write_payload(path, cfg, config_dict, metrics):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(pickle.dumps({
+        "payload_version": 1,
+        "config_hash": config_hash(cfg),
+        "config": config_dict,
+        "metrics": metrics,
+    }))
+
+
+def test_entries_stored_with_the_retired_kernel_key_still_load(cache, small_cfg, make_cfg):
+    # Older versions stored a ``kernel`` backend choice in every payload's
+    # config dict; it never fed config_hash, so those entries stay fresh.
+    metrics = {"workload": small_cfg.workload, "policy": small_cfg.policy, "x": 1}
+    _write_payload(
+        cache.path_for(small_cfg), small_cfg, {**small_cfg.to_dict(), "kernel": "auto"}, metrics
+    )
+    loaded = load_cached_metrics(cache.cache_dir)
+    assert loaded.stale == 0 and loaded.metrics == [metrics]
+    assert cache.load(small_cfg) == metrics and cache.hits == 1
+    # Only that one retired name is forgiven: any other unknown key is stale.
+    other = make_cfg(seed=2)
+    _write_payload(
+        cache.path_for(other), other, {**other.to_dict(), "backend": "auto"}, {"x": 2}
+    )
+    loaded = load_cached_metrics(cache.cache_dir)
+    assert loaded.stale == 1 and loaded.metrics == [metrics]
+    with pytest.raises(TypeError, match="backend"):
+        SimConfig.from_dict({**other.to_dict(), "backend": "auto"})
 
 
 # --- counter accounting across sweeps ---------------------------------------
@@ -133,4 +165,4 @@ def test_corrupt_entry_counts_invalidated_and_resimulates(tmp_path):
     assert (res.cache_hits, res.cache_misses, res.cache_invalidated) == (3, 1, 1)
     assert res.simulated == 1
     # The corrupt entry was rewritten with a good result.
-    assert ResultCache(tmp_path).load(grid[0]) == res.results[0]
+    assert ResultCache(tmp_path).load(grid[0]) == res.records[0]

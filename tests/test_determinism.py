@@ -39,7 +39,6 @@ SEED_TABLE = {
     "service_cooldown_epochs": (False, 4),
     "topology": (False, "add:2@8"),
     "redundancy": (False, "rep:2"),
-    "kernel": (False, "numpy"),
 }
 
 

@@ -35,7 +35,7 @@ import json
 import pytest
 
 from conftest import cfg_factory
-from edm.config import ENGINE_VERSION
+from edm.config import ENGINE_VERSION, config_hash
 from edm.engine.core import simulate
 
 PINNED_ENGINE_VERSION = 7
@@ -58,6 +58,31 @@ GOLDEN = {
     "pswl": "72910e81a1375fad2c6eb48589af1725cbc3c604e64097ccb397399f82e4a818",
     "consolidate": "063ab0f29e4c4574f3e1aac44ea298ecff3493b1187edb787a8c701ae0e2809a",
     "cmt-ec-degraded": "50b9177481d0c098ff320e0115a63fd7306e845c2cf2cd1a1d1c11eb38953a85",
+}
+
+# Cache keys of the cases above (at num_osds=8, seed=7).  Retiring a config
+# field that never fed the hash (``kernel``) must leave every one as is.
+GOLDEN_KEYS = {
+    "baseline": ("cdf88a62d2fbc3ef89cad1eeb9badb2fcae5dcfb1fac6c0c538d989006a7488b",
+                 "deasna-8osd-baseline-s0.02-r7"),
+    "cdf": ("05aebc9382885c715b15182ceff86c96a905c6899e16898357e962278b1e94b9",
+            "deasna-8osd-cdf-s0.02-r7"),
+    "hdf": ("25b95f8e1b012240fa37bd81562c536c9ac2c59e83c3af8d9c823286118b350e",
+            "deasna-8osd-hdf-s0.02-r7"),
+    "cmt": ("f6606958479cd2218f0935f63a2f0f9b012ca1f36be191df2f193fa93726adf2",
+            "deasna-8osd-cmt-s0.02-r7"),
+    "cmt-degraded-rated": ("a0fe435984f76b47339fc491e3566e927438dfd2631a5b24d89c53dc78aa02c4",
+                           "deasna-8osd-cmt-s0.02-r7-f566547e6-ecd6c549e"),
+    "cmt-serviced": ("e9efb4a436332ac3d6644b9f4ef59df4c2a433a753512aa5e78f3dd4b1d024cd",
+                     "deasna-8osd-cmt-s0.02-r7-qa26b9c63"),
+    "cmt-serviced-degraded": ("4c2c0798fcfa97731a976b45c8009e101ccd94db78bee9ae3736ad07f91d94f0",
+                              "deasna-8osd-cmt-s0.02-r7-f566547e6-q55a131f6"),
+    "pswl": ("3f7fc0465fd072be210f68bdd8138f7273ed67bf11442ef694da9e087fc5400e",
+             "deasna-8osd-pswl-s0.02-r7"),
+    "consolidate": ("bcec8038a2c6837059e98a1b3280a32cf901c8240bcd9e40c7d6a131c94fe20b",
+                    "deasna-8osd-consolidate-s0.02-r7"),
+    "cmt-ec-degraded": ("4610fad6c9d423bcc3585e622160a2d878173e964a3c54073938e952d8ea7ac1",
+                        "deasna-8osd-cmt-s0.02-r7-f566547e6-g6ada8e4b"),
 }
 
 CASES = {
@@ -112,3 +137,11 @@ def test_golden_metrics_hash(name):
         f"the semantic change in the ENGINE_VERSION comment; otherwise this "
         f"is a determinism regression -- find it before merging."
     )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_config_cache_keys(name):
+    # The cache key of every golden config, pinned literally: a change here
+    # orphans every cache entry written for it.
+    cfg = cfg_factory(num_osds=8, seed=7, **CASES[name])
+    assert (config_hash(cfg), cfg.cache_name()) == GOLDEN_KEYS[name]

@@ -9,14 +9,11 @@ from edm.obs import append_history, baseline_from_history, compare_reports, read
 from edm.obs.history import Regression, load_report
 
 
-def fake_report(
-    cold_rps=1_000_000.0, single_rps=30_000_000.0, quick=False, kernel="numpy"
-) -> dict:
+def fake_report(cold_rps=1_000_000.0, single_rps=30_000_000.0, quick=False) -> dict:
     """Minimal report with everything bench.main prints and compare gates on."""
     return {
         "edm_version": "0.3.0",
         "quick": quick,
-        "kernel": kernel,
         "sweep": {
             "configs": 64,
             "cold_seconds": 4.0,
@@ -30,7 +27,6 @@ def fake_report(
             "config": "deasna-20osd-cmt-s0.02-r12345",
             "epochs": 245,
             "telemetry": False,
-            "kernel": "numpy",
             "requests_simulated": 2_000_000,
             "seconds": 0.07,
             "requests_per_sec": single_rps,
@@ -118,39 +114,39 @@ def test_load_report_rejects_non_object(tmp_path):
         load_report(p)
 
 
-# --- kernel-matched baseline selection from history -------------------------
+# --- mode-matched baseline selection from history ---------------------------
 
 
-def test_baseline_from_history_picks_newest_same_kernel(tmp_path):
+def test_baseline_from_history_picks_newest_entry(tmp_path):
     hist = tmp_path / "hist.jsonl"
-    append_history(fake_report(cold_rps=1e6, kernel="numpy"), path=hist, sha="a")
-    append_history(fake_report(cold_rps=9e6, kernel="numba"), path=hist, sha="b")
-    append_history(fake_report(cold_rps=2e6, kernel="numpy"), path=hist, sha="c")
-    base = baseline_from_history(hist, kernel="numpy")
-    assert base["sweep"]["requests_per_sec_cold"] == 2e6  # newest numpy, not numba
-    assert baseline_from_history(hist, kernel="numba")["kernel"] == "numba"
+    append_history(fake_report(cold_rps=1e6), path=hist, sha="a")
+    append_history(fake_report(cold_rps=9e6, quick=True), path=hist, sha="b")
+    append_history(fake_report(cold_rps=2e6), path=hist, sha="c")
+    base = baseline_from_history(hist, quick=False)
+    assert base["sweep"]["requests_per_sec_cold"] == 2e6  # newest full, not quick
+    assert baseline_from_history(hist)["sweep"]["requests_per_sec_cold"] == 2e6
 
 
 def test_baseline_from_history_filters_quick_mode(tmp_path):
     hist = tmp_path / "hist.jsonl"
     append_history(fake_report(cold_rps=1e6, quick=True), path=hist, sha="a")
     append_history(fake_report(cold_rps=2e6, quick=False), path=hist, sha="b")
-    assert baseline_from_history(hist, kernel="numpy", quick=True)["quick"] is True
-    assert baseline_from_history(hist, kernel="numpy", quick=False)["quick"] is False
+    assert baseline_from_history(hist, quick=True)["quick"] is True
+    assert baseline_from_history(hist, quick=False)["quick"] is False
 
 
-def test_baseline_from_history_no_matching_kernel_lists_backends(tmp_path):
+def test_baseline_from_history_no_matching_mode_raises(tmp_path):
     hist = tmp_path / "hist.jsonl"
-    append_history(fake_report(kernel="numpy"), path=hist, sha="a")
-    with pytest.raises(ValueError, match=r"no entry for kernel 'numba'.*numpy"):
-        baseline_from_history(hist, kernel="numba")
+    append_history(fake_report(quick=False), path=hist, sha="a")
+    with pytest.raises(ValueError, match=r"no quick entry.*--quick --append-history"):
+        baseline_from_history(hist, quick=True)
 
 
 def test_baseline_from_history_empty_history(tmp_path):
     hist = tmp_path / "hist.jsonl"
     hist.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        baseline_from_history(hist, kernel="numpy")
+        baseline_from_history(hist, quick=False)
 
 
 # --- bench CLI wiring (run_bench monkeypatched: no real simulation) ---------
@@ -161,10 +157,9 @@ def patched_bench(monkeypatch):
     """Capture run_bench calls and control the report it returns."""
     calls = {}
 
-    def fake_run_bench(out_path, cache_dir, workers, quick, kernel="auto"):
+    def fake_run_bench(out_path, cache_dir, workers, quick):
         calls["out_path"] = out_path
         calls["quick"] = quick
-        calls["kernel"] = kernel
         return fake_report(quick=quick)
 
     monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)
@@ -204,22 +199,22 @@ def test_bench_compare_zero_baseline_exits_2(tmp_path, patched_bench, caplog):
     assert rc == 2
 
 
-def test_bench_compare_against_history_picks_same_kernel_entry(
+def test_bench_compare_against_history_picks_same_mode_entry(
     tmp_path, patched_bench, capsys
 ):
-    """Satellite: a .jsonl --compare matches by kernel backend, so the numba
-    entry's 9x throughput never gates this numpy run."""
+    """A .jsonl --compare matches by quick/full mode, so the newer quick
+    entry's 9x throughput never gates this full run."""
     hist = tmp_path / "hist.jsonl"
-    append_history(fake_report(cold_rps=9e6, single_rps=3e8, kernel="numba"), path=hist)
-    append_history(fake_report(cold_rps=1_050_000.0, kernel="numpy"), path=hist)
+    append_history(fake_report(cold_rps=1_050_000.0), path=hist)
+    append_history(fake_report(cold_rps=9e6, single_rps=3e8, quick=True), path=hist)
     rc = bench_mod.main(["--compare", str(hist), "--out", str(tmp_path / "o.json")])
     assert rc == 0
     assert "OK: throughput within" in capsys.readouterr().out
 
 
-def test_bench_compare_against_history_no_same_kernel_exits_2(tmp_path, patched_bench):
+def test_bench_compare_against_history_no_same_mode_exits_2(tmp_path, patched_bench):
     hist = tmp_path / "hist.jsonl"
-    append_history(fake_report(kernel="numba"), path=hist)
+    append_history(fake_report(quick=True), path=hist)
     rc = bench_mod.main(["--compare", str(hist), "--out", str(tmp_path / "o.json")])
     assert rc == 2
 
@@ -229,7 +224,7 @@ def test_bench_compare_against_history_still_gates_regressions(
 ):
     hist = tmp_path / "hist.jsonl"
     append_history(
-        fake_report(cold_rps=1_333_334.0, single_rps=4e7, kernel="numpy"), path=hist
+        fake_report(cold_rps=1_333_334.0, single_rps=4e7), path=hist
     )
     rc = bench_mod.main(
         ["--compare", str(hist), "--max-regression", "0.15", "--out", str(tmp_path / "o.json")]

@@ -1,15 +1,15 @@
-"""Epoch-kernel backends and batched re-placement: bit-identity guarantees.
+"""Fused epoch kernel, batched re-placement, deferred CoV: bit-identity guarantees.
 
-The fused kernel (src/edm/engine/kernels.py) and the vectorized failure
-re-placement (engine/core.py) both promise *byte-equal* metrics against
-their reference implementations.  This module pins those promises:
+The fused kernel (src/edm/engine/kernels.py), the vectorized failure
+re-placement (engine/core.py) and the block-deferred load-CoV fold
+(engine/metrics.py) all promise *byte-equal* metrics against their
+reference implementations.  This module pins those promises:
 
-  * numpy vs numba backends produce identical metrics dicts (and therefore
-    identical golden hashes) across policy x workload x faults x endurance
-    samples -- numba cases skip cleanly when the optional extra is absent;
+  * the fused kernel matches an unfused transcription of the same math;
   * the batched greedy destination assignment replays the sequential
-    per-chunk loop bit-for-bit, and policies that override only the scalar
-    ``pick_destination`` fall back to the exact loop;
+    per-chunk loop bit-for-bit, for every registry policy;
+  * the deferred load-CoV block equals a per-epoch scalar fold, across a
+    failure and a topology scale-out;
   * migration wear accrual via bincount matches the per-element scatter it
     replaced, duplicates included.
 """
@@ -21,33 +21,22 @@ import numpy as np
 import pytest
 
 from conftest import cfg_factory, make_state
-from edm.config import config_hash
+from edm.config import POLICIES, SimConfig, config_hash, seed_material_hash
 from edm.engine import core as core_mod
+from edm.engine import metrics as metrics_mod
 from edm.engine.core import (
     _assign_replacements_batched,
     _assign_replacements_loop,
-    _supports_batch_destinations,
     apply_migrations,
     simulate,
 )
-from edm.engine.kernels import (
-    NumpyKernel,
-    available_kernels,
-    make_kernel,
-    numba_available,
-    resolve_kernel,
-)
+from edm.engine.kernels import EpochKernel
 from edm.policies import get_policy
-from edm.policies.base import MigrationPolicy, ThresholdPolicy
+from edm.telemetry.recorder import Recorder
 
-# Samples chosen to exercise every engine path that the kernel and the
-# batched re-placement touch: all four policies, a drifting and a bursty
-# workload, a mid-run failure burst, and a rated cluster that wears out.
-SAMPLES = {
-    "baseline-deasna": dict(policy="baseline"),
-    "cdf-deasna2": dict(policy="cdf", workload="deasna2"),
-    "hdf-lair62": dict(policy="hdf", workload="lair62"),
-    "cmt-lair62b": dict(policy="cmt", workload="lair62b"),
+# Configs whose runs re-place chunks through the batched path: a mid-run
+# failure burst, and a rated cluster that wears out.
+REPLACEMENT_SAMPLES = {
     "cmt-faulted": dict(policy="cmt", faults="fail:1@8;slow:2@4x0.5"),
     "hdf-faulted": dict(policy="hdf", faults="fail:3@10", num_osds=8),
     "cmt-rated": dict(policy="cmt", endurance="pe:900"),
@@ -60,94 +49,39 @@ def digest(metrics: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Backend selection / config surface
-
-
-def test_resolve_kernel_names():
-    assert resolve_kernel("numpy") == "numpy"
-    expected_auto = "numba" if numba_available() else "numpy"
-    assert resolve_kernel("auto") == expected_auto
-    assert set(available_kernels()) == (
-        {"numpy", "numba"} if numba_available() else {"numpy"}
-    )
-
-
-def test_explicit_numba_without_install_raises():
-    if numba_available():
-        pytest.skip("numba installed; the error path is unreachable")
-    with pytest.raises(RuntimeError, match="numba"):
-        resolve_kernel("numba")
-    with pytest.raises(RuntimeError, match="numba"):
-        make_kernel(cfg_factory(kernel="numba"))
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="kernel"):
-        cfg_factory(kernel="fortran")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        resolve_kernel("fortran")
-
-
 def test_kernel_field_never_feeds_hash_or_seed():
-    # Both backends must share cache entries: the kernel field is
-    # presentation, not semantics (the seed side is in test_determinism.py).
-    a = cfg_factory(kernel="numpy")
-    b = cfg_factory(kernel="auto")
-    assert config_hash(a) == config_hash(b)
-    assert a.cache_name() == b.cache_name()
-
-
-def test_make_kernel_default_is_numpy_when_no_numba():
-    k = make_kernel(cfg_factory())
-    if not numba_available():
-        assert isinstance(k, NumpyKernel)
-
-
-# ---------------------------------------------------------------------------
-# numpy vs numba bit-identity (skips without the [jit] extra)
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLES))
-def test_numba_kernel_bit_identical(name):
-    pytest.importorskip("numba")
-    kw = {"num_osds": 8, "seed": 7, **SAMPLES[name]}
-    cfg_np = cfg_factory(kernel="numpy", **kw)
-    cfg_nb = cfg_factory(kernel="numba", **kw)
-    m_np = simulate(cfg_np)
-    m_nb = simulate(cfg_nb)
-    assert m_np == m_nb
-    assert digest(m_np) == digest(m_nb)
-
-
-def test_numba_reproduces_pinned_golden_hash():
-    # The numba backend must land on the exact digest pinned for the numpy
-    # engine -- same claim as test_golden_metrics, through the JIT path.
-    pytest.importorskip("numba")
-    from test_golden_metrics import CASES, GOLDEN
-
-    for name, kw in CASES.items():
-        cfg = cfg_factory(num_osds=8, seed=7, kernel="numba", **kw)
-        assert digest(simulate(cfg)) == GOLDEN[name], f"numba drifted on {name!r}"
+    # Older versions stored a ``kernel`` backend choice in every config
+    # dict; a stored dict carrying it rebuilds the very same config.
+    cfg = cfg_factory()
+    old = SimConfig.from_dict({**cfg.to_dict(), "kernel": "numpy"})
+    assert old == cfg
+    assert config_hash(old) == config_hash(cfg)
+    assert old.cache_name() == cfg.cache_name()
+    assert seed_material_hash(old) == seed_material_hash(cfg)
 
 
 # ---------------------------------------------------------------------------
 # Batched re-placement vs the sequential reference loop
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in sorted(SAMPLES) if "faulted" in n or "rated" in n]
-)
+@pytest.mark.parametrize("name", sorted(REPLACEMENT_SAMPLES))
 def test_batched_replacement_matches_loop(name, monkeypatch):
-    cfg = cfg_factory(**{"num_osds": 8, "seed": 7, **SAMPLES[name]})
+    cfg = cfg_factory(**{"num_osds": 8, "seed": 7, **REPLACEMENT_SAMPLES[name]})
     fast = simulate(cfg)
-    monkeypatch.setattr(core_mod, "_supports_batch_destinations", lambda policy: False)
+    calls = []
+
+    def loop(order, proj, alive_ids, policy, state, cfg):
+        calls.append(order.size)
+        return _assign_replacements_loop(order, proj, alive_ids, policy, state, cfg, -1)
+
+    monkeypatch.setattr(core_mod, "_assign_replacements_batched", loop)
     slow = simulate(cfg)
+    assert calls  # the run really re-placed chunks through the loop
     assert fast == slow
     assert digest(fast) == digest(slow)
 
 
-@pytest.mark.parametrize("policy", ("baseline", "cdf", "hdf", "cmt"))
+@pytest.mark.parametrize("policy", POLICIES)
 def test_assign_replacements_paths_agree_directly(policy):
     # Unit-level: same inputs through both assignment paths, byte-equal
     # destinations and identical projected-load evolution.
@@ -166,42 +100,61 @@ def test_assign_replacements_paths_agree_directly(policy):
     alive_ids = np.flatnonzero(state.osd_alive)
     proj_a = state.osd_load_ema.copy()
     proj_b = state.osd_load_ema.copy()
-    dsts_loop = _assign_replacements_loop(order, proj_a, alive_ids, pol, state, cfg)
+    dsts_loop = _assign_replacements_loop(order, proj_a, alive_ids, pol, state, cfg, 2)
     dsts_batch = _assign_replacements_batched(order, proj_b, alive_ids, pol, state, cfg)
     np.testing.assert_array_equal(dsts_loop, dsts_batch)
     assert proj_a.tobytes() == proj_b.tobytes()  # bit-equal, not approx
 
 
-def test_scalar_only_policy_override_falls_back_to_loop():
-    class ScalarOnly(ThresholdPolicy):
-        name = "scalar-only"
-
-        def chunk_order(self, chunk_ids, state):
-            return chunk_ids
-
-        def pick_destination(self, candidates, proj_load, state, cfg):
-            return int(candidates[np.argmax(proj_load[candidates])])  # worst-fit
-
-    class BothOverridden(ScalarOnly):
-        def pick_destination_batch(self, candidates, proj_rows, state, cfg):
-            return candidates[np.argmax(proj_rows[:, candidates], axis=1)]
-
-    assert not _supports_batch_destinations(ScalarOnly())
-    assert _supports_batch_destinations(BothOverridden())
-    # Built-ins all pair their overrides.
-    for name in ("baseline", "cdf", "hdf", "cmt"):
-        assert _supports_batch_destinations(get_policy(name))
+# ---------------------------------------------------------------------------
+# Deferred load-CoV block vs a per-epoch scalar fold
 
 
-def test_inherited_base_pair_counts_as_supported():
-    class PlainSelect(MigrationPolicy):
-        name = "plain"
+class ScalarCovFold(Recorder):
+    """The per-epoch scalar fold the accumulator's CoV block must equal."""
 
-        def select(self, state, cfg):
-            return np.empty((0, 2), dtype=np.int64)
+    def on_run_start(self, cfg, state):
+        self.cov_sum = self.peak_sum = 0.0
+        self.epochs = 0
+        self.baseline = 0.0
+        self.start = None
+        self.recovery = -1
 
-    # Neither method overridden: the base-class pair is consistent.
-    assert _supports_batch_destinations(PlainSelect())
+    def on_fault(self, state, event, replaced):
+        if event.kind == "fail":
+            self.baseline = self.cov_sum / max(self.epochs, 1)
+            self.start = state.epoch
+            self.recovery = -1
+
+    def on_epoch(self, state, load, stats):
+        mean = load.mean()
+        if mean > 0:
+            self.cov_sum += float(load.std() / mean)
+            self.peak_sum += float(load.max() / mean)
+        self.epochs += 1
+        la = load[state.osd_alive]
+        am = la.mean() if la.size else 0.0
+        cov_alive = float(la.std() / am) if am > 0 else 0.0
+        if self.start is not None and self.recovery < 0:
+            if cov_alive <= max(self.baseline * 1.1, self.baseline + 1e-9):
+                self.recovery = stats.epoch - self.start
+
+
+def test_cov_block_matches_a_scalar_fold_across_failure_and_scale_out(monkeypatch):
+    # Blocks of 3 rows put a partial block in flight at the failure (epoch
+    # 8), at the scale-out (epoch 16) and at the end of the run.  At this
+    # seed the recovery epoch count moves if the failure's baseline misses
+    # the two buffered epochs before it.
+    monkeypatch.setattr(metrics_mod, "_COV_BLOCK", 3)
+    cfg = cfg_factory(
+        num_osds=6, policy="baseline", seed=4, faults="fail:1@8", topology="add:2@16"
+    )
+    fold = ScalarCovFold()
+    m = simulate(cfg, recorders=(fold,))
+    assert m["osds_total_final"] == 8 and m["fault_failures"] == 1
+    assert m["load_cov_mean"] == fold.cov_sum / fold.epochs
+    assert m["load_peak_ratio_mean"] == fold.peak_sum / fold.epochs
+    assert m["fault_recovery_epochs"] == fold.recovery
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +222,7 @@ def test_kernel_epoch_update_matches_unfused_reference(small_cfg):
     counts = rng.integers(0, 50, cfg.num_chunks).astype(np.float64)
     writes = np.minimum(counts, rng.integers(0, 20, cfg.num_chunks)).astype(np.float64)
 
-    load = make_kernel(cfg).epoch_update(state, counts, writes)
+    load = EpochKernel(cfg).epoch_update(state, counts, writes)
 
     ref_load = np.bincount(ref.chunk_owner, weights=counts, minlength=cfg.num_osds)
     ref.osd_wear += (

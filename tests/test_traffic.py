@@ -151,7 +151,7 @@ def test_sweep_replay_matches_live_runs(workers, tmp_path):
     grid = shared_grid()
     res = sweep(grid, cache_dir=tmp_path, workers=workers)
     assert res.simulated == len(grid)
-    assert res.results == [simulate(cfg) for cfg in grid]
+    assert res.records == [simulate(cfg) for cfg in grid]
     # One file for the stream six configs share; none for the two loners.
     files = list((tmp_path / "traffic").iterdir())
     assert [f.name for f in files] == [seed_material_hash(grid[0])]
@@ -170,7 +170,7 @@ def test_bad_traffic_file_is_regenerated_not_replayed(damage, tmp_path):
         record(cfg_factory(**{**SHARED, "seed": 8}), path)
     assert not traffic_matches(grid[0], path)
     res = sweep(grid, cache_dir=tmp_path, workers=1)
-    assert res.results == [simulate(cfg) for cfg in grid]
+    assert res.records == [simulate(cfg) for cfg in grid]
     assert traffic_matches(grid[0], path)
 
 
@@ -181,7 +181,7 @@ def test_no_cache_sweep_removes_its_traffic_files(tmp_path, monkeypatch):
     grid = shared_grid()[:2]
     runs = tmp_path / "runs.jsonl"
     res = sweep(grid, cache_dir=tmp_path / "cache", workers=1, use_cache=False, run_log=runs)
-    assert res.results == [simulate(cfg) for cfg in grid]
+    assert res.records == [simulate(cfg) for cfg in grid]
     starts = [r["replayed"] for r in read_run_log(runs) if r["event"] == "run_start"]
     assert starts == [False, True]
     assert list(scratch.iterdir()) == []
@@ -255,7 +255,7 @@ def test_a_stream_recorded_under_an_older_seed_schema_is_never_replayed(tmp_path
     stale = old.read_bytes()
     runs = tmp_path / "runs.jsonl"
     res = sweep(grid, cache_dir=tmp_path / "cache", workers=1, run_log=runs)
-    assert res.results == [simulate(cfg) for cfg in grid]
+    assert res.records == [simulate(cfg) for cfg in grid]
     new = traffic / seed_material_hash(grid[0])
     assert new != old and traffic_matches(grid[0], new)
     assert old.read_bytes() == stale and not traffic_matches(grid[0], old)
