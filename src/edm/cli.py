@@ -31,6 +31,7 @@ from edm.obs.decisions import (
 from edm.obs.log import level_from_args
 from edm.obs.trace_export import export_chrome_trace, write_span_events
 from edm.policies import resolve_policy
+from edm.spec import LAYERS
 from edm.sweep import default_grid, sweep
 from edm.telemetry import MetricsSnapshotRecorder
 
@@ -61,74 +62,13 @@ def _overrides(args) -> dict:
     return out
 
 
-def _fault_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--faults`` value into scenario specs.
-
-    Event specs themselves never contain commas (events join with ``;``), so
-    the comma cleanly separates grid-axis scenarios; ``none`` (or an empty
-    entry) names the healthy cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
-
-
-def _endurance_scenarios(spec: str) -> list[str]:
-    """Split a semicolon-separated ``--endurance`` value into model specs.
-
-    Endurance specs join their bands with ``,`` (``pe:3000@0-3,10000@4-7``),
-    so unlike ``--faults`` the grid-axis separator is ``;``; ``none`` (or an
-    empty entry) names the unrated cluster.
-    """
-    parts = [p.strip() for p in spec.split(";") if p.strip()]
-    scenarios = [("" if p == "none" else p) for p in parts]
-    return scenarios or [""]
-
-
-def _service_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--service`` value into model specs.
-
-    Service specs join their clauses with ``;`` (``rate:800;queue:64``), so
-    like ``--faults`` the grid-axis separator is ``,``; ``none`` (or an
-    empty entry) names the unserviced cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
-
-
-def _topology_scenarios(spec: str) -> list[str]:
-    """Split a ``|``-separated ``--topology`` value into plan specs.
-
-    Topology plans use both ``;`` (event separator) and ``,`` (device-class
-    attributes) internally, so the grid-axis separator is ``|``; ``none``
-    (or an empty entry) names the static cluster.
-    """
-    parts = [p.strip() for p in spec.split("|") if p.strip()]
-    scenarios = [("" if p == "none" else p) for p in parts]
-    return scenarios or [""]
-
-
-def _redundancy_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--redundancy`` value into scheme specs.
-
-    A redundancy spec is a single clause (``rep:3`` / ``ec:4+2``) with no
-    internal separators, so the grid-axis separator is ``,``; ``none`` (or
-    an empty entry) names the redundancy-free cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
-
-
 def cmd_run(args) -> int:
     cfg = SimConfig(
         workload=args.workload,
         num_osds=args.osds,
         policy=resolve_policy(args.policy),
         seed=args.seed,
-        faults="" if args.faults == "none" else args.faults,
-        endurance="" if args.endurance == "none" else args.endurance,
-        service="" if args.service == "none" else args.service,
-        topology="" if args.topology == "none" else args.topology,
-        redundancy="" if args.redundancy == "none" else args.redundancy,
+        **{layer.field: getattr(args, layer.field) for layer in LAYERS},
         **_overrides(args),
     )
     recorders = []
@@ -176,11 +116,7 @@ def cmd_sweep(args) -> int:
         osds=[int(n) for n in _csv(args.osds)],
         policies=[resolve_policy(p) for p in _csv(args.policies)],
         seeds=[int(s) for s in _csv(args.seeds)],
-        faults=_fault_scenarios(args.faults),
-        endurance=_endurance_scenarios(args.endurance),
-        service=_service_scenarios(args.service),
-        topology=_topology_scenarios(args.topology),
-        redundancy=_redundancy_scenarios(args.redundancy),
+        **{layer.field: layer.split_axis(getattr(args, layer.field)) for layer in LAYERS},
         **_overrides(args),
     )
     result = sweep(
@@ -342,40 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--osds", type=int, default=16)
     run_p.add_argument("--policy", choices=POLICY_CHOICES, default="cmt")
     run_p.add_argument("--seed", type=int, default=12345)
-    run_p.add_argument(
-        "--faults",
-        default="",
-        metavar="SPEC",
-        help="fault scenario, e.g. 'fail:3@100;slow:5@50x0.5' ('none' = healthy)",
-    )
-    run_p.add_argument(
-        "--endurance",
-        default="",
-        metavar="SPEC",
-        help="endurance model, e.g. 'pe:5000' or 'pe:3000@0-3,10000@4-7' "
-        "('none' = unlimited rated lifetime)",
-    )
-    run_p.add_argument(
-        "--service",
-        default="",
-        metavar="SPEC",
-        help="service model, e.g. 'rate:800;queue:64' or 'rate:800;rate:400@0-3' "
-        "('none' = no request-level timing)",
-    )
-    run_p.add_argument(
-        "--topology",
-        default="",
-        metavar="SPEC",
-        help="topology plan, e.g. 'add:4@128/cap:2,rate:1600;drain:0@192' "
-        "('none' = static cluster)",
-    )
-    run_p.add_argument(
-        "--redundancy",
-        default="",
-        metavar="SPEC",
-        help="redundancy scheme, e.g. 'rep:3' (3-way replication) or 'ec:4+2' "
-        "(4 data + 2 parity chunks per group; 'none' = no redundancy)",
-    )
+    for layer in LAYERS:
+        run_p.add_argument(
+            f"--{layer.field}",
+            default="",
+            metavar="SPEC",
+            help=f"{layer.noun}, e.g. {layer.example!r} ('none' = {layer.off})",
+        )
     run_p.add_argument(
         "--explain",
         nargs="?",
@@ -445,46 +354,14 @@ def main(argv: list[str] | None = None) -> int:
         "slim per-config summaries in the parent (memory independent of grid "
         "size; incompatible with --no-cache)",
     )
-    sweep_p.add_argument(
-        "--faults",
-        default="",
-        metavar="SPECS",
-        help="comma-separated fault scenarios as an extra grid axis "
-        "(events within a scenario join with ';'; 'none' = healthy), "
-        "e.g. 'none,fail:3@100;slow:5@50x0.5'",
-    )
-    sweep_p.add_argument(
-        "--endurance",
-        default="",
-        metavar="SPECS",
-        help="semicolon-separated endurance models as an extra grid axis "
-        "(bands within a model join with ','; 'none' = unlimited), "
-        "e.g. 'none;pe:5000;pe:3000@0-3,10000@4-7'",
-    )
-    sweep_p.add_argument(
-        "--service",
-        default="",
-        metavar="SPECS",
-        help="comma-separated service models as an extra grid axis "
-        "(clauses within a model join with ';'; 'none' = no request-level "
-        "timing), e.g. 'none,rate:800;queue:64'",
-    )
-    sweep_p.add_argument(
-        "--topology",
-        default="",
-        metavar="SPECS",
-        help="'|'-separated topology plans as an extra grid axis (plans use "
-        "';' and ',' internally; 'none' = static cluster), e.g. "
-        "'none|add:4@128/cap:2,rate:1600;drain:0@192'",
-    )
-    sweep_p.add_argument(
-        "--redundancy",
-        default="",
-        metavar="SPECS",
-        help="comma-separated redundancy schemes as an extra grid axis "
-        "(a scheme is a single 'rep:N' or 'ec:M+K' clause; 'none' = no "
-        "redundancy), e.g. 'none,rep:3,ec:4+2'",
-    )
+    for layer in LAYERS:
+        sweep_p.add_argument(
+            f"--{layer.field}",
+            default="",
+            metavar="SPECS",
+            help=f"{layer.axis_sep!r}-separated {layer.noun}s as an extra grid axis "
+            f"('none' = {layer.off}), e.g. 'none{layer.axis_sep}{layer.example}'",
+        )
     sweep_p.add_argument(
         "--quick",
         action="store_true",

@@ -12,6 +12,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from edm.spec import LAYERS, SpecError
+
 # Bump when the engine's semantics or the metrics format change, so stale
 # cached results from older engines are never returned.
 # 2: observer-hook engine API; policy aliases canonicalized before hashing.
@@ -196,16 +198,6 @@ class SimConfig:
             raise ValueError(f"wear_rate_alpha must be in (0, 1], got {self.wear_rate_alpha}")
         if self.endurance_weight < 0:
             raise ValueError(f"endurance_weight must be >= 0, got {self.endurance_weight}")
-        if self.faults:
-            from edm.faults import FaultPlan
-
-            plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
-            object.__setattr__(self, "faults", plan.spec)
-        if self.endurance:
-            from edm.endurance import EnduranceModel
-
-            model = EnduranceModel.parse(self.endurance, num_osds=self.num_osds)
-            object.__setattr__(self, "endurance", model.spec)
         if self.service_migration_cost < 0:
             raise ValueError(
                 f"service_migration_cost must be >= 0, got {self.service_migration_cost}"
@@ -214,64 +206,15 @@ class SimConfig:
             raise ValueError(
                 f"service_cooldown_epochs must be >= 1, got {self.service_cooldown_epochs}"
             )
-        if self.service:
-            from edm.service import ServiceModel
-
-            svc = ServiceModel.parse(self.service, num_osds=self.num_osds)
-            object.__setattr__(self, "service", svc.spec)
-        if self.topology:
-            from edm.spec import SpecError
-            from edm.topology import TopologyPlan
-
-            plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
-            object.__setattr__(self, "topology", plan.spec)
-            if self.service:
-                from edm.service import ServiceModel
-
-                svc = ServiceModel.parse(self.service)
-                if svc.default_rate is None:
-                    for ev in plan.adds:
-                        if ev.rate is None:
-                            raise SpecError(
-                                f"topology event {ev.render()!r} adds OSDs "
-                                f"with no service rate, and service spec "
-                                f"{self.service!r} has no default rate band; "
-                                f"give the add a 'rate:' attribute or add a "
-                                f"default rate"
-                            )
-        if self.redundancy:
-            from edm.redundancy.spec import RedundancyScheme
-            from edm.spec import SpecError
-
-            scheme = RedundancyScheme.parse(self.redundancy, num_osds=self.num_osds)
-            object.__setattr__(self, "redundancy", scheme.spec)
-            width = scheme.group_width
-            # A placement group needs `width` distinct live OSDs for its
-            # whole lifetime; catch plans that provably shrink the cluster
-            # below that at config time rather than mid-run.
-            if self.faults:
-                from edm.faults import FaultPlan
-
-                plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
-                survivors = self.num_osds - len(plan.failures)
-                if survivors < width:
-                    raise SpecError(
-                        f"redundancy scheme {self.redundancy!r} needs "
-                        f"{width} distinct OSDs per group, but fault plan "
-                        f"{self.faults!r} leaves only {survivors} of "
-                        f"{self.num_osds} alive"
-                    )
-            if self.topology:
-                from edm.topology import TopologyPlan
-
-                plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
-                final = plan.final_osds(self.num_osds)
-                if final < width:
-                    raise SpecError(
-                        f"redundancy scheme {self.redundancy!r} needs "
-                        f"{width} distinct OSDs per group, but topology plan "
-                        f"{self.topology!r} drains the cluster down to {final}"
-                    )
+        plans = {}
+        for layer in LAYERS:
+            spec = getattr(self, layer.field)
+            if spec:
+                plan = layer.parse(spec, num_osds=self.num_osds)
+                object.__setattr__(self, layer.field, plan.spec)
+                if plan:
+                    plans[layer.field] = plan
+        _check_across_layers(self, plans)
 
     @property
     def num_chunks(self) -> int:
@@ -294,52 +237,101 @@ class SimConfig:
     def cache_name(self) -> str:
         """Filename stem matching the historical .repro-cache key format.
 
-        Fault scenarios append a short spec digest (``-f1a2b3c4``),
-        endurance models another (``-e5d6e7f8``), service models a third
-        (``-q9a8b7c6``), topology plans a fourth (``-t0d1e2f3``), and
-        redundancy schemes a fifth (``-g4e5f6a7``, g for *group*) so the
-        same base config under different scenarios never collides on
-        filename; healthy, unrated, unserviced, static, plain configs keep
-        the historical stem byte-for-byte.
+        Each active scenario layer appends its registry letter and a short
+        spec digest, in :data:`~edm.spec.LAYERS` order (``-f1a2b3c4`` for a
+        fault scenario, then ``-e``, ``-q``, ``-t`` and ``-g`` for endurance,
+        service, topology and redundancy), so the same base config under
+        different scenarios never collides on filename; healthy, unrated,
+        unserviced, static, plain configs keep the historical stem
+        byte-for-byte.
         """
         stem = f"{self.workload}-{self.num_osds}osd-{self.policy}-s{self.skew:g}-r{self.seed}"
-        if self.faults:
-            stem += f"-f{hashlib.sha256(self.faults.encode()).hexdigest()[:8]}"
-        if self.endurance:
-            stem += f"-e{hashlib.sha256(self.endurance.encode()).hexdigest()[:8]}"
-        if self.service:
-            stem += f"-q{hashlib.sha256(self.service.encode()).hexdigest()[:8]}"
-        if self.topology:
-            stem += f"-t{hashlib.sha256(self.topology.encode()).hexdigest()[:8]}"
-        if self.redundancy:
-            stem += f"-g{hashlib.sha256(self.redundancy.encode()).hexdigest()[:8]}"
+        for layer in LAYERS:
+            spec = getattr(self, layer.field)
+            if spec:
+                stem += f"-{layer.letter}{hashlib.sha256(spec.encode()).hexdigest()[:8]}"
         return stem
+
+
+def _check_across_layers(cfg: SimConfig, plans: dict) -> None:
+    """The config-time checks that span two scenario layers.
+
+    ``plans`` maps each active layer's field to its parsed spec.  Endurance
+    wear-outs depend on the traffic, so no config-time check can see them.
+    """
+    topology, service = plans.get("topology"), plans.get("service")
+    if topology and service and service.default_rate is None:
+        for ev in topology.adds:
+            if ev.rate is None:
+                raise SpecError(
+                    f"topology event {ev.render()!r} adds OSDs "
+                    f"with no service rate, and service spec "
+                    f"{cfg.service!r} has no default rate band; "
+                    f"give the add a 'rate:' attribute or add a "
+                    f"default rate"
+                )
+    scheme = plans.get("redundancy")
+    if not scheme:
+        return
+    # A placement group needs `width` distinct live OSDs at every moment, so
+    # walk fault and topology events in simulate()'s order -- within an
+    # epoch, topology adds, then drains, then faults -- and reject the plans
+    # at the first event that leaves fewer alive.  An OSD leaves once,
+    # whether it fails, drains, or both.
+    width = scheme.group_width
+    faults = plans.get("faults")
+    order = {"add": 0, "drain": 1, "fail": 2}
+    events = [*(topology.events if topology else ()), *(faults.failures if faults else ())]
+    events.sort(key=lambda ev: (ev.epoch, order[ev.kind]))
+    total = alive = cfg.num_osds
+    gone: set[int] = set()
+    for ev in events:
+        if ev.kind == "add":
+            total += ev.count
+            alive += ev.count
+            continue
+        if ev.osd in gone:
+            continue
+        gone.add(ev.osd)
+        alive -= 1
+        if alive >= width:
+            continue
+        if ev.kind == "drain":
+            what = f"topology plan {cfg.topology!r} drains the cluster down to {alive}"
+            other = f" (with fault plan {cfg.faults!r})" if faults else ""
+        else:
+            what = f"fault plan {cfg.faults!r} leaves only {alive} of {total} alive"
+            other = f" (with topology plan {cfg.topology!r})" if topology else ""
+        raise SpecError(
+            f"redundancy scheme {cfg.redundancy!r} needs {width} distinct OSDs "
+            f"per group, but at epoch {ev.epoch} {what}{other}"
+        )
 
 
 def config_hash(cfg: SimConfig) -> str:
     """Stable content hash of a config plus the engine version.
 
-    An *empty* ``topology`` or ``redundancy`` is dropped from the payload:
-    a static, plain config computes bit-identical metrics with or without
-    the field, so introducing it must not invalidate any pre-existing cache
-    entry.
+    An *empty* ``topology`` or ``redundancy`` is dropped from the payload
+    (their registry entries set ``hash_empty=False``): a static, plain
+    config computes bit-identical metrics with or without the field, so
+    introducing it must not invalidate any pre-existing cache entry.
 
-    ``service_metrics_rev`` re-keys only serviced configs: revision 2 fixed
-    the degraded-mode queue-depth aggregates (dead OSDs no longer counted as
-    permanent zeros) and gave the latency histogram a dedicated overflow
-    bin, so serviced cache entries written by the old accounting are never
-    returned; unserviced configs are untouched.  Revision 3 sums each OSD's
+    ``service_metrics_rev`` (the service layer's ``hash_marker``) re-keys
+    only serviced configs: revision 2 fixed the degraded-mode queue-depth
+    aggregates (dead OSDs no longer counted as permanent zeros) and gave the
+    latency histogram a dedicated overflow bin, so serviced cache entries
+    written by the old accounting are never returned; unserviced configs are
+    untouched.  Revision 3 sums each OSD's
     epoch latencies as a closed-form series instead of request by request,
     which moves ``service_lat_mean`` and ``migration_spike_ratio`` by at
     most a few ulps (histogram, percentiles and max are unchanged).
     """
     payload = {"engine_version": ENGINE_VERSION, **cfg.to_dict()}
-    if not payload.get("topology"):
-        payload.pop("topology", None)
-    if not payload.get("redundancy"):
-        payload.pop("redundancy", None)
-    if payload.get("service"):
-        payload["service_metrics_rev"] = 3
+    for layer in LAYERS:
+        if payload[layer.field]:
+            payload.update(layer.hash_marker)
+        elif not layer.hash_empty:
+            del payload[layer.field]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -4,12 +4,12 @@ Reads every metrics pickle in a ``.repro-cache``-style directory, drops stale
 entries (engine-version or config drift, judged by recomputing the content
 hash from the stored config), and aggregates policy x workload cells --
 load CoV, wear spread, wear CoV, migration cost -- averaged across cluster
-sizes and seeds.  Serviced runs add tail-latency columns (p50/p99/p999 and
-the migration-spike ratio), elastic runs add topology columns (cold-drive
-load share, drain evacuation moves), and redundant runs add reconstruction
-columns (rebuild reads, rebuilt MB, lost chunks), each shown only when such
-a scenario is present so plain reports keep their historical shape.  Renders
-markdown (for docs/PRs) or JSON (for tooling).
+sizes and seeds.  Each scenario layer in :data:`edm.spec.LAYERS` adds a spec
+column and its own report columns (tail latency for serviced runs, cold-drive
+share and drain moves for elastic ones, reconstruction traffic and lost
+chunks for redundant ones), each shown only when such a scenario is present
+so plain reports keep their historical shape.  Renders markdown (for
+docs/PRs) or JSON (for tooling).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from edm.config import SimConfig, config_hash
+from edm.spec import LAYERS
 
 # (metrics key, column header, format spec)
 TABLE_COLUMNS = (
@@ -30,31 +31,6 @@ TABLE_COLUMNS = (
     ("wear_cov", "wear CoV", ".4f"),
     ("migration_cost_mb", "migration MB", ".0f"),
 )
-
-# Tail-latency columns, present only on serviced runs; unserviced rows in a
-# mixed report render them as "-".
-SERVICE_COLUMNS = (
-    ("service_lat_p50", "lat p50", ".3g"),
-    ("service_lat_p99", "lat p99", ".3g"),
-    ("service_lat_p999", "lat p999", ".3g"),
-    ("migration_spike_ratio", "mig spike", ".3g"),
-)
-
-# Elastic-topology columns, present only on runs with a topology plan;
-# static rows in a mixed report render them as "-".
-TOPOLOGY_COLUMNS = (
-    ("cold_load_share_final", "cold share", ".3f"),
-    ("drain_moves_total", "drain moves", ".0f"),
-)
-
-# Redundancy columns, present only on runs with a redundancy scheme; plain
-# rows in a mixed report render them as "-".
-REDUNDANCY_COLUMNS = (
-    ("reconstruction_reads_total", "recon reads", ".0f"),
-    ("reconstruction_write_mb", "recon MB", ".0f"),
-    ("data_loss_chunks_total", "lost chunks", ".0f"),
-)
-
 
 @dataclass(frozen=True)
 class LoadedResults:
@@ -86,122 +62,65 @@ def load_cached_metrics(cache_dir: str | Path) -> LoadedResults:
 
 
 def aggregate(metrics_rows: list[dict]) -> list[dict]:
-    """Mean per (workload, policy, faults, endurance, service, topology,
-    redundancy) cell, sorted.
+    """Mean per (workload, policy, one spec per scenario layer) cell, sorted.
 
-    Healthy, unrated, unserviced, static, redundancy-free runs carry none of
-    the ``faults`` / ``endurance`` / ``service`` / ``topology`` /
-    ``redundancy`` keys and land in the ``("", "", "", "", "")`` scenario, so
-    a plain cache aggregates exactly as before; fault scenarios, endurance
-    models, service models, topology plans and redundancy schemes become
-    separate rows comparable side by side with their baseline.  Service,
-    topology and redundancy columns are averaged only where present (and
-    only over finite values -- an empty histogram's NaN percentile would
+    A run carries no key for a layer that is off, so healthy, unrated,
+    unserviced, static, redundancy-free runs land in the all-``""`` scenario
+    and a plain cache aggregates exactly as before; every fault scenario,
+    endurance model, service model, topology plan and redundancy scheme
+    becomes a separate row comparable side by side with its baseline.  A
+    layer's report columns are averaged only where the layer is on (and only
+    over finite values -- an empty histogram's NaN percentile would
     otherwise poison the cell mean).
     """
-    groups: dict[tuple[str, str, str, str, str, str, str], list[dict]] = {}
+    groups: dict[tuple[str, ...], list[dict]] = {}
     for m in metrics_rows:
-        key = (
-            m["workload"],
-            m["policy"],
-            m.get("faults", ""),
-            m.get("endurance", ""),
-            m.get("service", ""),
-            m.get("topology", ""),
-            m.get("redundancy", ""),
-        )
+        key = (m["workload"], m["policy"], *(m.get(layer.field, "") for layer in LAYERS))
         groups.setdefault(key, []).append(m)
     out = []
-    for key_tuple, rows in sorted(groups.items()):
-        workload, policy, faults, endurance, service, topology, redundancy = key_tuple
-        cell = {
-            "workload": workload,
-            "policy": policy,
-            "faults": faults,
-            "endurance": endurance,
-            "service": service,
-            "topology": topology,
-            "redundancy": redundancy,
-            "runs": len(rows),
-        }
+    for (workload, policy, *specs), rows in sorted(groups.items()):
+        cell = {"workload": workload, "policy": policy}
+        cell.update((layer.field, spec) for layer, spec in zip(LAYERS, specs))
+        cell["runs"] = len(rows)
         for key, _header, _fmt in TABLE_COLUMNS:
             cell[key] = sum(r[key] for r in rows) / len(rows)
-        if service:
-            for key, _header, _fmt in SERVICE_COLUMNS:
-                vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
-                cell[key] = sum(vals) / len(vals) if vals else math.nan
-        if topology:
-            for key, _header, _fmt in TOPOLOGY_COLUMNS:
-                vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
-                cell[key] = sum(vals) / len(vals) if vals else math.nan
-        if redundancy:
-            for key, _header, _fmt in REDUNDANCY_COLUMNS:
+        for layer, spec in zip(LAYERS, specs):
+            if not spec:
+                continue
+            for key, _header, _fmt in layer.columns:
                 vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
                 cell[key] = sum(vals) / len(vals) if vals else math.nan
         out.append(cell)
     return out
 
 
+def _format_optional(v, fmt: str) -> str:
+    """A scenario column's value, or ``-`` where the cell has none."""
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return "-"
+    return format(v, fmt)
+
+
 def render_markdown(cells: list[dict]) -> str:
-    # The faults / endurance / service / topology columns only appear once
-    # such a scenario is present, so plain healthy-cluster reports keep
-    # their historical shape.
-    show_faults = any(c.get("faults") for c in cells)
-    show_endurance = any(c.get("endurance") for c in cells)
-    show_service = any(c.get("service") for c in cells)
-    show_topology = any(c.get("topology") for c in cells)
-    show_redundancy = any(c.get("redundancy") for c in cells)
-    headers = ["workload", "policy"]
-    if show_faults:
-        headers.append("faults")
-    if show_endurance:
-        headers.append("endurance")
-    if show_service:
-        headers.append("service")
-    if show_topology:
-        headers.append("topology")
-    if show_redundancy:
-        headers.append("redundancy")
-    headers += ["runs"] + [h for _k, h, _f in TABLE_COLUMNS]
-    if show_service:
-        headers += [h for _k, h, _f in SERVICE_COLUMNS]
-    if show_topology:
-        headers += [h for _k, h, _f in TOPOLOGY_COLUMNS]
-    if show_redundancy:
-        headers += [h for _k, h, _f in REDUNDANCY_COLUMNS]
+    # A layer's spec and report columns only appear once one of its
+    # scenarios is present, so plain healthy-cluster reports keep their
+    # historical shape.
+    shown = [layer for layer in LAYERS if any(c.get(layer.field) for c in cells)]
+    headers = ["workload", "policy", *(layer.field for layer in shown), "runs"]
+    headers += [h for _k, h, _f in TABLE_COLUMNS]
+    headers += [h for layer in shown for _k, h, _f in layer.columns]
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join("---" for _ in headers) + "|",
     ]
     for c in cells:
         values = [c["workload"], c["policy"]]
-        if show_faults:
-            values.append(c.get("faults") or "healthy")
-        if show_endurance:
-            values.append(c.get("endurance") or "unrated")
-        if show_service:
-            values.append(c.get("service") or "untimed")
-        if show_topology:
-            values.append(c.get("topology") or "static")
-        if show_redundancy:
-            values.append(c.get("redundancy") or "plain")
+        values += [c.get(layer.field) or layer.off for layer in shown]
         values.append(str(c["runs"]))
         values += [format(c[key], fmt) for key, _h, fmt in TABLE_COLUMNS]
-        if show_service:
-            for key, _h, fmt in SERVICE_COLUMNS:
-                v = c.get(key)
-                has = v is not None and not (isinstance(v, float) and math.isnan(v))
-                values.append(format(v, fmt) if has else "-")
-        if show_topology:
-            for key, _h, fmt in TOPOLOGY_COLUMNS:
-                v = c.get(key)
-                has = v is not None and not (isinstance(v, float) and math.isnan(v))
-                values.append(format(v, fmt) if has else "-")
-        if show_redundancy:
-            for key, _h, fmt in REDUNDANCY_COLUMNS:
-                v = c.get(key)
-                has = v is not None and not (isinstance(v, float) and math.isnan(v))
-                values.append(format(v, fmt) if has else "-")
+        values += [
+            _format_optional(c.get(key), fmt) for layer in shown for key, _h, fmt in layer.columns
+        ]
         lines.append("| " + " | ".join(values) + " |")
     return "\n".join(lines)
 

@@ -1,15 +1,22 @@
-"""Shared spec-grammar toolkit for compact configuration strings.
+"""Shared spec-grammar toolkit and the scenario-layer registry.
 
-Three SimConfig fields are driven by compact spec strings -- fault plans
+Five SimConfig fields are driven by compact spec strings -- fault plans
 (``fail:3@100;slow:5@50x0.5``), endurance models (``pe:3000@0-3,10000@4-7``),
-and service models (``rate:800;rate:400@0-3;queue:64``).  They share the same
-shape: a separator-joined list of clauses, each matched by a small regex,
-``@EPOCH`` / ``@LO-HI`` ranges, canonical ordering and number rendering so
-equivalent spellings hash identically, and error messages that name the
-offending clause.  This module is that shared machinery; the per-field
-grammars (:mod:`edm.faults.plan`, :mod:`edm.endurance.spec`,
-:mod:`edm.service.spec`) declare their clauses on top of it instead of each
-hand-rolling a parser.
+service models (``rate:800;rate:400@0-3;queue:64``), topology plans
+(``add:4@128/cap:2;drain:0@192``) and redundancy schemes (``ec:4+2``).  They
+share the same shape: a separator-joined list of clauses, each matched by a
+small regex, ``@EPOCH`` / ``@LO-HI`` ranges, canonical ordering and number
+rendering so equivalent spellings hash identically, and error messages that
+name the offending clause.  This module is that shared machinery; the
+per-field grammars (:mod:`edm.faults.plan`, :mod:`edm.endurance.spec`,
+:mod:`edm.service.spec`, :mod:`edm.topology.spec`,
+:mod:`edm.redundancy.spec`) declare their clauses on top of it instead of
+each hand-rolling a parser.
+
+:data:`LAYERS` declares each of those five scenario layers once, as data:
+its config field and grammar, cache-key letter, hash rules, CLI help and
+sweep-axis separator, and report label and columns.  ``SimConfig``, the
+CLI, ``default_grid`` and the report loop over it instead of naming layers.
 
 Porting contract: the canonical strings this toolkit renders are
 **byte-identical** to the ones the previous hand-rolled parsers produced
@@ -22,12 +29,15 @@ layer can parse and validate specs without import cycles.
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
+    "LAYERS",
     "ClauseRule",
+    "Layer",
     "SpecError",
     "SpecGrammar",
     "format_fixed",
@@ -201,3 +211,113 @@ def validate_bands(
                 f"{spec_noun} {spec!r}: OSDs {uncovered} have no "
                 f"{missing_noun}; add a default band or cover the whole cluster"
             )
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One scenario layer's declarative wiring.
+
+    ``spec_class`` names (as ``"module:Class"``, imported on first use so the
+    config layer stays cycle-free) the class whose
+    ``parse(spec, num_osds).spec`` canonicalises the ``field`` spec.  A
+    non-empty spec appends ``-<letter><digest>`` to the cache name and adds
+    ``hash_marker`` to the config hash; an empty one is dropped from the hash
+    unless ``hash_empty``.  ``noun`` and ``example`` make the CLI help,
+    ``axis_sep`` joins several specs into one sweep axis, ``off`` labels the
+    layer's off state in reports (and CLI help), and ``columns`` are the
+    ``(metrics key, header, format)`` report columns its runs add.
+    """
+
+    field: str
+    spec_class: str
+    letter: str
+    noun: str
+    example: str
+    axis_sep: str
+    off: str
+    columns: tuple[tuple[str, str, str], ...] = ()
+    hash_empty: bool = True
+    hash_marker: tuple[tuple[str, int], ...] = ()
+
+    def parse(self, spec: str, num_osds: int | None = None) -> Any:
+        """Parse ``spec`` with this layer's grammar (see ``spec_class``)."""
+        module, _, name = self.spec_class.partition(":")
+        return getattr(importlib.import_module(module), name).parse(spec, num_osds=num_osds)
+
+    def split_axis(self, value: str) -> list[str]:
+        """Split a sweep-axis value into specs; no spec at all means off.
+
+        ``axis_sep`` never occurs inside this layer's specs, so it cleanly
+        separates them; ``none`` entries pass through for the grammar to
+        canonicalise to ``""``.
+        """
+        return [p.strip() for p in value.split(self.axis_sep) if p.strip()] or [""]
+
+
+#: The scenario layers, in cache-name letter order.
+LAYERS = (
+    Layer(
+        field="faults",
+        spec_class="edm.faults.plan:FaultPlan",
+        letter="f",
+        noun="fault scenario",
+        example="fail:3@100;slow:5@50x0.5",
+        axis_sep=",",
+        off="healthy",
+    ),
+    Layer(
+        field="endurance",
+        spec_class="edm.endurance.spec:EnduranceModel",
+        letter="e",
+        noun="endurance model",
+        example="pe:3000@0-3,10000@4-7",
+        axis_sep=";",
+        off="unrated",
+    ),
+    Layer(
+        field="service",
+        spec_class="edm.service.spec:ServiceModel",
+        letter="q",
+        noun="service model",
+        example="rate:800;queue:64",
+        axis_sep=",",
+        off="untimed",
+        columns=(
+            ("service_lat_p50", "lat p50", ".3g"),
+            ("service_lat_p99", "lat p99", ".3g"),
+            ("service_lat_p999", "lat p999", ".3g"),
+            ("migration_spike_ratio", "mig spike", ".3g"),
+        ),
+        # Re-keys serviced configs only; see edm.config.config_hash.
+        hash_marker=(("service_metrics_rev", 3),),
+    ),
+    Layer(
+        field="topology",
+        spec_class="edm.topology.spec:TopologyPlan",
+        letter="t",
+        noun="topology plan",
+        example="add:4@128/cap:2,rate:1600;drain:0@192",
+        axis_sep="|",
+        off="static",
+        columns=(
+            ("cold_load_share_final", "cold share", ".3f"),
+            ("drain_moves_total", "drain moves", ".0f"),
+        ),
+        hash_empty=False,
+    ),
+    Layer(
+        field="redundancy",
+        spec_class="edm.redundancy.spec:RedundancyScheme",
+        letter="g",
+        noun="redundancy scheme",
+        example="ec:4+2",
+        axis_sep=",",
+        off="plain",
+        columns=(
+            ("reconstruction_reads_total", "recon reads", ".0f"),
+            ("reconstruction_write_mb", "recon MB", ".0f"),
+            ("data_loss_chunks_total", "lost chunks", ".0f"),
+        ),
+        hash_empty=False,
+    ),
+)

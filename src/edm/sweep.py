@@ -81,6 +81,7 @@ from edm.obs import (
     write_span_events,
 )
 from edm.obs.log import ROOT_LOGGER_NAME
+from edm.spec import LAYERS
 from edm.telemetry import Recorder, TimeSeriesRecorder
 from edm.workloads.traffic import traffic_matches
 
@@ -123,23 +124,25 @@ def default_grid(
     """The default evaluation grid: 4 workloads x {16,20} OSDs x the policy zoo x 2 seeds.
 
     ``faults``, ``endurance``, ``service``, ``topology``, and ``redundancy``
-    are extra grid axes of fault-scenario, endurance-model, service-model,
+    are extra grid axes, one per scenario layer in :data:`edm.spec.LAYERS`
+    and in its order, of fault-scenario, endurance-model, service-model,
     topology-plan, and redundancy-scheme specs (see :mod:`edm.faults.plan` /
     :mod:`edm.endurance.spec` / :mod:`edm.service.spec` /
     :mod:`edm.topology.spec` / :mod:`edm.redundancy.spec`); the default
     single empty spec on each is the healthy, unrated, unserviced, static,
     redundancy-free cluster.  Restricting ``policies`` to the paper's four
-    (as :mod:`edm.bench` does) recovers the paper's 64-config grid exactly.
+    (``baseline``, ``cdf``, ``hdf``, ``cmt``) recovers the paper's 64-config
+    grid exactly.
     """
+    axes = locals()  # each layer's axis is the parameter named after its field
+    fields = [layer.field for layer in LAYERS]
     return [
         SimConfig(
             workload=w, num_osds=n, policy=p, seed=s, skew=skew,
-            faults=f, endurance=e, service=v, topology=t, redundancy=r,
-            **overrides,
+            **dict(zip(fields, specs)), **overrides,
         )
-        for w, n, p, s, f, e, v, t, r in product(
-            workloads, osds, policies, seeds, faults, endurance, service,
-            topology, redundancy,
+        for w, n, p, s, *specs in product(
+            workloads, osds, policies, seeds, *(axes[f] for f in fields)
         )
     ]
 

@@ -35,7 +35,7 @@ import json
 import pytest
 
 from conftest import cfg_factory
-from edm.config import ENGINE_VERSION, config_hash
+from edm.config import ENGINE_VERSION, SimConfig, config_hash
 from edm.engine.core import simulate
 
 PINNED_ENGINE_VERSION = 7
@@ -145,3 +145,27 @@ def test_golden_config_cache_keys(name):
     # orphans every cache entry written for it.
     cfg = cfg_factory(num_osds=8, seed=7, **CASES[name])
     assert (config_hash(cfg), cfg.cache_name()) == GOLDEN_KEYS[name]
+
+
+def test_five_layer_cache_key_is_pinned():
+    # Every scenario layer at once, spelled non-canonically (a spaced fault
+    # separator, service and topology clauses out of order, the ``edm``
+    # policy alias): canonicalisation, each layer's hash contribution and
+    # the order of the cache_name letters are all pinned.  Key only -- no
+    # metrics digest.
+    cfg = SimConfig(
+        num_osds=8,
+        seed=7,
+        policy="edm",
+        faults="slow:2@4x0.5; fail:1@8",
+        endurance="pe:900",
+        service="queue:256;rate:120",
+        topology="drain:0@24;add:2@16/cap:2,rate:240",
+        redundancy="rep:3",
+    )
+    assert config_hash(cfg) == (
+        "b7f0bfc549f2d9207ee354fc89dfc2f0f647a61ff239140eb1435a6fe8365607"
+    )
+    assert cfg.cache_name() == (
+        "deasna-8osd-cmt-s0.02-r7-f01b92dda-ecd6c549e-qa26b9c63-tb09a0f94-g61d650da"
+    )

@@ -80,6 +80,53 @@ def test_config_rejects_topology_plan_that_drains_too_deep():
         cfg_factory(num_osds=4, redundancy="rep:4", topology="drain:0@8")
 
 
+# Fault and topology plans are checked together, on one timeline in the
+# engine's order (adds, then drains, then faults within an epoch): both
+# configs below used to pass config checks and crash mid-run with "no
+# constraint-satisfying destination".
+
+
+def test_config_rejects_a_drain_after_a_failure_at_the_drain_epoch():
+    with pytest.raises(SpecError) as err:
+        cfg_factory(
+            num_osds=4, redundancy="rep:3", faults="fail:0@10", topology="drain:1@20"
+        )
+    msg = str(err.value)
+    assert "at epoch 20" in msg and "drains the cluster down to 2" in msg
+    assert "'drain:1@20'" in msg and "'fail:0@10'" in msg
+
+
+def test_config_rejects_a_drain_that_a_later_scale_out_cannot_undo():
+    with pytest.raises(SpecError, match="at epoch 5 .* drains the cluster down to 2"):
+        cfg_factory(num_osds=3, redundancy="rep:3", topology="drain:0@5;add:1@10")
+
+
+def test_config_rejects_a_failure_after_a_drain_at_the_failure_epoch():
+    with pytest.raises(SpecError, match="at epoch 20 fault plan 'fail:1@20' leaves only 2 of 4"):
+        cfg_factory(
+            num_osds=4, redundancy="rep:3", faults="fail:1@20", topology="drain:0@10"
+        )
+
+
+@pytest.mark.parametrize(
+    "num_osds, faults, topology",
+    [
+        # An OSD that fails and is drained leaves the cluster once.
+        (4, "fail:0@10", "drain:0@20"),
+        (4, "fail:0@20", "drain:0@10"),
+        # Within an epoch the add lands before the drain or the failure.
+        (3, "", "add:1@5;drain:0@5"),
+        (3, "fail:0@10", "add:1@10"),
+        # Two failures, with a scale-out between them.
+        (4, "fail:0@10;fail:1@20", "add:1@15"),
+    ],
+)
+def test_plans_that_keep_a_group_width_alive_run_to_completion(num_osds, faults, topology):
+    cfg = cfg_factory(num_osds=num_osds, redundancy="rep:3", faults=faults, topology=topology)
+    metrics = simulate(cfg)
+    assert metrics["osds_alive_final"] >= 3
+
+
 # --- group layout ------------------------------------------------------------
 
 
